@@ -24,7 +24,7 @@ from .evaluate import (
     run_experiment,
     run_real_data,
 )
-from .forest import ForestFit, ForestParams, fit_forest, predict_forest, predict_forest_frame
+from .forest import ForestFit, ForestParams, fit_forest, predict_forest_frame
 from .frame import IntervalFrame, SplitSpec, coherence_report, load_csv, split, write_csv
 from .intervals import (
     HyperInterval,
@@ -40,8 +40,9 @@ from .intervals import (
     scalar_mul,
     w_distance,
 )
-from .kernel import KernelFit, fit_kernel, predict_kernel, predict_kernel_frame, select_bandwidth
+from .kernel import KernelFit, fit_kernel, predict_kernel_frame, select_bandwidth
 from .linear import LinearFit, PredictionSet, fit_linear, nnls, ols, predict_linear
+from .models import MODELS, fit_model, model_from_json, model_to_json, predict_model
 from .simulate import SimSetting, simulate
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .evaluate import (
     evaluate_frame,
     predictions_csv,
     read_predictions_csv,
+    real_summary_csv,
     resolve_workers,
     results_csv,
     run_experiment,
@@ -30,10 +31,9 @@ from .evaluate import (
     summary_csv,
     timings_csv,
 )
-from .forest import ForestParams, fit_forest, forest_from_json, forest_to_json, predict_forest_rows
 from .frame import load_csv, load_feature_csv, write_csv
-from .kernel import KERNELS, fit_kernel, kernel_from_json, kernel_to_json, predict_kernel_rows
-from .linear import VARIANTS, fit_linear, linear_from_json, linear_to_json, predict_linear
+from .kernel import KERNELS
+from .models import MODELS, fit_model, fit_settings, model_from_json, model_to_json, predict_features
 from .plots import pred_scatter_svg, rectangles_svg
 from .simulate import GAMMA_PARAMETERIZATION, SimSetting, simulate
 
@@ -103,13 +103,8 @@ def cmd_simulate(setting, n_rows, seed, out_path):
     )
 
 
-def _model_file_kind(path) -> str:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return doc.get("model", "")
-
-
 @cli.command("fit")
-@click.option("--model", type=click.Choice(VARIANTS + ("ke", "rf")), required=True)
+@click.option("--model", type=click.Choice(MODELS), required=True)
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--response", default=None, help="Response variable name (default: last pair).")
@@ -125,27 +120,11 @@ def cmd_fit(model, in_path, out_path, response, trees, mtry, min_node, max_depth
             kernel, bandwidth, bw_auto):
     """Fit a model to a CSV dataset and write the fit as JSON."""
     train = load_csv(in_path, response=response)
-    config = {"model": model, "in": str(in_path), "response": train.response_name, "seed": seed}
-    if model in VARIANTS:
-        fit = fit_linear(model, train)
-        text = linear_to_json(fit)
-    elif model == "ke":
-        if bandwidth is None and not bw_auto:
-            bw_auto = True
-        fit = fit_kernel(train, h=bandwidth, kernel=kernel)
-        text = kernel_to_json(fit)
-        config.update({"kernel": kernel, "bandwidth": fit.h, "bw_auto": bw_auto})
-    else:
-        params = ForestParams(
-            n_trees=trees, mtry=mtry, min_node=min_node, max_depth=max_depth, seed=seed
-        )
-        fit = fit_forest(train, params)
-        text = forest_to_json(fit)
-        config.update(
-            {"trees": trees, "mtry": params.resolved_mtry(2 * train.p), "min_node": min_node,
-             "max_depth": max_depth, "oob": fit.oob}
-        )
-    Path(out_path).write_text(text, encoding="utf-8")
+    fit = fit_model(model, train, seed, kernel, bandwidth, n_trees=trees, mtry=mtry,
+                    min_node=min_node, max_depth=max_depth)
+    Path(out_path).write_text(model_to_json(fit), encoding="utf-8")
+    config = {"model": model, "in": str(in_path), "response": train.response_name, "seed": seed,
+              **fit_settings(fit, bw_auto=bw_auto or bandwidth is None)}
     _manifest_for(out_path, "fit", config)
 
 
@@ -155,28 +134,10 @@ def cmd_fit(model, in_path, out_path, response, trees, mtry, min_node, max_depth
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def cmd_predict(model_file, in_path, out_path):
     """Predict response intervals for every row of a CSV dataset."""
-    kind = _model_file_kind(model_file)
-    text = Path(model_file).read_text(encoding="utf-8")
-    if kind in VARIANTS:
-        fit = linear_from_json(text)
-        xc, xr = load_feature_csv(in_path, fit.predictor_names)
-        pred = predict_linear(fit, xc, xr)
-    elif kind == "ke":
-        fit = kernel_from_json(text)
-        xc, xr = load_feature_csv(in_path, fit.predictor_names)
-        pred = predict_kernel_rows(fit, _features(xc, xr))
-    elif kind == "rf":
-        fit = forest_from_json(text)
-        xc, xr = load_feature_csv(in_path, fit.predictor_names)
-        pred = predict_forest_rows(fit, _features(xc, xr))
-    else:
-        raise errors.ConfigError(f"{model_file}: unknown model document kind {kind!r}")
-    Path(out_path).write_text(predictions_csv(pred), encoding="utf-8")
+    fit = model_from_json(Path(model_file).read_text(encoding="utf-8"), model_file)
+    xc, xr = load_feature_csv(in_path, fit.predictor_names)
+    Path(out_path).write_text(predictions_csv(predict_features(fit, xc, xr)), encoding="utf-8")
     _manifest_for(out_path, "predict", {"model_file": str(model_file), "in": str(in_path)})
-
-
-def _features(xc, xr):
-    return np.hstack([xc, xr])
 
 
 @cli.command("evaluate")
@@ -266,18 +227,9 @@ def cmd_bench(settings, sizes, reps, models, seed, train_fraction, trees, mtry, 
             kernel=kernel,
             bandwidth=bandwidth,
         )
-        lines = ["component,metric," + ",".join(model_list) + ",best"]
-        for component in ("center", "radius"):
-            for metric in ("r2", "mse", "mae"):
-                vals = [getattr(getattr(reports[m], component), metric) for m in model_list]
-                best = (max if metric == "r2" else min)(range(len(vals)), key=vals.__getitem__)
-                lines.append(
-                    f"{component},{metric}," + ",".join(repr(v) for v in vals)
-                    + f",{model_list[best]}"
-                )
-        (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        for m in model_list:
-            (out / f"predictions_{m}.csv").write_text(predictions_csv(predictions[m]), encoding="utf-8")
+        (out / "summary.csv").write_text(real_summary_csv(reports), encoding="utf-8")
+        for m, pred in predictions.items():
+            (out / f"predictions_{m}.csv").write_text(predictions_csv(pred), encoding="utf-8")
         _write_manifest(
             out / "manifest.json",
             "bench",

@@ -37,7 +37,7 @@ class NumericError(IvforestError):
     """Non-finite values or a numerically unusable problem."""
 
 
-class ConfigError(IvforestError):
+class ConfigError(IvforestError, ValueError):
     """Invalid configuration value (model name, grid, replication count, ...)."""
 
 

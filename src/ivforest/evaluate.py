@@ -19,14 +19,13 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateTruthError, DimensionError, EmptySampleError
 from .frame import IntervalFrame, SplitSpec, split
-from .forest import ForestParams, fit_forest, predict_forest_frame
-from .kernel import fit_kernel, predict_kernel_frame
-from .linear import PredictionSet, fit_linear, predict_linear_frame
+from .linear import PredictionSet
+from .models import MODELS, fit_model, model_names, predict_model
 from .rng import derive_seed
 from .simulate import SETTING_IDS, SimSetting, simulate
 
-MODELS = ("ccrm", "crm", "minmax", "ke", "rf")
 COMPONENTS = ("center", "radius")
+METRICS = ("r2", "mse", "mae")
 
 
 @dataclass(frozen=True)
@@ -105,14 +104,9 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "settings", tuple(int(s) for s in self.settings))
         object.__setattr__(self, "total_sizes", tuple(int(n) for n in self.total_sizes))
-        object.__setattr__(self, "models", tuple(m.lower() for m in self.models))
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
-        for m in self.models:
-            if m not in MODELS:
-                raise ConfigError(f"unknown model {m!r}; choose from {', '.join(MODELS)}")
-        if not self.models:
-            raise ConfigError("no models requested")
+        object.__setattr__(self, "models", model_names(self.models))
         for s in self.settings:
             if s not in SETTING_IDS:
                 raise ConfigError(f"unknown setting {s}; choose from 1..7")
@@ -162,32 +156,6 @@ class ExperimentResult:
         }
 
 
-def fit_and_predict(
-    model: str,
-    train: IntervalFrame,
-    test: IntervalFrame,
-    spec: ExperimentSpec,
-    seed: int,
-) -> PredictionSet:
-    if model in ("ccrm", "crm", "minmax"):
-        fit = fit_linear(model, train)
-        return predict_linear_frame(fit, test)
-    if model == "ke":
-        fit = fit_kernel(train, h=spec.bandwidth, kernel=spec.kernel)
-        return predict_kernel_frame(fit, test)
-    if model == "rf":
-        params = ForestParams(
-            n_trees=spec.n_trees,
-            mtry=spec.mtry,
-            min_node=spec.min_node,
-            max_depth=spec.max_depth,
-            seed=seed,
-        )
-        fit = fit_forest(train, params)
-        return predict_forest_frame(fit, test)
-    raise ConfigError(f"unknown model {model!r}")
-
-
 def _run_cell(args: tuple) -> list[CellRow]:
     spec, setting, total_n, rep = args
     rep_seed = derive_seed("rep", spec.master_seed, setting, total_n, rep)
@@ -198,7 +166,9 @@ def _run_cell(args: tuple) -> list[CellRow]:
     rows: list[CellRow] = []
     for model in spec.models:
         t0 = time.perf_counter()
-        pred = fit_and_predict(model, train, test, spec, rep_seed)
+        fit = fit_model(model, train, rep_seed, spec.kernel, spec.bandwidth, n_trees=spec.n_trees,
+                        mtry=spec.mtry, min_node=spec.min_node, max_depth=spec.max_depth)
+        pred = predict_model(fit, test)
         report = evaluate_frame(pred, test)
         wall = time.perf_counter() - t0
         for component in COMPONENTS:
@@ -282,22 +252,29 @@ def summary_csv(result: ExperimentResult) -> str:
     One row per (setting, n_train, component, metric); one column per model
     plus a marker column naming the best model (highest r2, lowest mse/mae).
     """
-    cells = result.mean_cells()
-    models = list(result.spec.models)
-    lines = ["setting,n_train,component,metric," + ",".join(models) + ",best"]
-    keys = sorted({(s, n) for (s, n, _, _) in cells})
-    for setting, n_train in keys:
+    scores = {(f"{s},{n},", m, c): v for (s, n, m, c), v in result.mean_cells().items()}
+    return _summary_table("setting,n_train,", result.spec.models, scores)
+
+
+def real_summary_csv(reports: dict[str, EvalReport]) -> str:
+    """:func:`summary_csv`'s layout for one dataset, without the cell columns."""
+    scores = {("", m, c): vars(getattr(r, c)) for m, r in reports.items() for c in COMPONENTS}
+    return _summary_table("", tuple(reports), scores)
+
+
+def _summary_table(head: str, models: tuple[str, ...], scores: dict) -> str:
+    """``scores`` maps (row prefix, model, component) to {metric: value}.
+
+    Prefixes keep their first-seen order; ties for the best model go to the
+    model listed first.
+    """
+    lines = [f"{head}component,metric," + ",".join(models) + ",best"]
+    for prefix in dict.fromkeys(key[0] for key in scores):
         for component in COMPONENTS:
-            for metric in ("r2", "mse", "mae"):
-                vals = [cells[(setting, n_train, m, component)][metric] for m in models]
-                if metric == "r2":
-                    best = models[int(np.argmax(vals))]
-                else:
-                    best = models[int(np.argmin(vals))]
-                row = [str(setting), str(n_train), component, metric]
-                row += [repr(v) for v in vals]
-                row.append(best)
-                lines.append(",".join(row))
+            for metric in METRICS:
+                vals = [scores[(prefix, m, component)][metric] for m in models]
+                best = models[(np.argmax if metric == "r2" else np.argmin)(vals)]
+                lines.append(f"{prefix}{component},{metric}," + ",".join(map(repr, vals)) + f",{best}")
     return "\n".join(lines) + "\n"
 
 
@@ -341,34 +318,21 @@ def run_real_data(
     train_count: int | None = None,
     mode: str = "chronological",
     seed: int = 0,
-    n_trees: int = 500,
-    mtry: int | None = None,
-    min_node: int = 5,
-    kernel: str = "gaussian",
-    bandwidth: float | None = None,
+    **hyper,
 ) -> tuple[dict, dict]:
     """Single-dataset comparison: split, fit each model, score on the test part.
 
-    Returns (reports, predictions), keyed by model name.
+    ``hyper`` holds :func:`fit_model`'s hyperparameters (kernel, bandwidth,
+    n_trees, mtry, ...). Returns (reports, predictions), keyed by model name.
     """
-    spec = ExperimentSpec(
-        settings=(1,),
-        reps=1,
-        models=tuple(models),
-        master_seed=seed,
-        n_trees=n_trees,
-        mtry=mtry,
-        min_node=min_node,
-        kernel=kernel,
-        bandwidth=bandwidth,
-    )
+    models = model_names(models)
     train, test = split(
         frame, SplitSpec(train_fraction, mode=mode, seed=seed, train_count=train_count)
     )
     reports: dict[str, EvalReport] = {}
     predictions: dict[str, PredictionSet] = {}
-    for model in spec.models:
-        pred = fit_and_predict(model, train, test, spec, derive_seed("real", seed))
+    for model in models:
+        pred = predict_model(fit_model(model, train, derive_seed("real", seed), **hyper), test)
         predictions[model] = pred
         reports[model] = evaluate_frame(pred, test)
     return reports, predictions

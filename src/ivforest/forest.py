@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DimensionError, OOBUnavailableError, UnderdeterminedError
 from .frame import IntervalFrame
-from .intervals import HyperInterval, Interval, from_center_radius
 from .linear import PredictionSet
 from .rng import stream
 
@@ -223,13 +222,6 @@ class ForestFit:
     radius_trees: list[Tree] = field(default_factory=list)
     oob: dict = field(default_factory=dict)
 
-    @property
-    def p(self) -> int:
-        return len(self.predictor_names)
-
-
-COMPONENTS = ("center", "radius")
-
 
 def fit_forest(train: IntervalFrame, params: ForestParams | None = None) -> ForestFit:
     """Grow both ensembles and compute out-of-bag errors."""
@@ -273,17 +265,6 @@ def predict_forest_rows(fit: ForestFit, queries: np.ndarray) -> PredictionSet:
     centers = _forest_predict(fit.center_trees, queries)
     radii = _forest_predict(fit.radius_trees, queries)
     return PredictionSet(centers, radii, radii < 0.0)
-
-
-def predict_forest(fit: ForestFit, x: HyperInterval) -> Interval:
-    """Single-query prediction as an interval."""
-    if len(x) != fit.p:
-        raise DimensionError(f"model has {fit.p} predictors, query has {len(x)}")
-    q = np.array(
-        [iv.center for iv in x.components] + [iv.radius for iv in x.components]
-    )
-    pred = predict_forest_rows(fit, q[None, :])
-    return from_center_radius(pred.center[0], pred.radius[0])
 
 
 def predict_forest_frame(fit: ForestFit, frame: IntervalFrame) -> PredictionSet:
@@ -366,10 +347,12 @@ def forest_to_json(fit: ForestFit, include_bootstrap: bool = True) -> str:
 
 
 def forest_from_json(text: str) -> ForestFit:
-    doc = json.loads(text)
-    if doc.get("model") != "rf":
-        raise ValueError(f"not a forest model document: {doc.get('model')!r}")
+    from .models import model_from_json  # models imports this module
 
+    return model_from_json(text, kinds=("rf",))
+
+
+def forest_from_doc(doc: dict) -> ForestFit:
     def tree_from(tdoc: dict) -> Tree:
         return Tree(
             np.asarray(tdoc["feature"], dtype=np.int64),
@@ -381,13 +364,11 @@ def forest_from_json(text: str) -> ForestFit:
             np.asarray(tdoc.get("bootstrap", []), dtype=np.int64),
         )
 
-    params = ForestParams(**doc["params"])
-    fit = ForestFit(
+    return ForestFit(
         tuple(doc["feature_names"]),
         tuple(doc["predictors"]),
-        params,
+        ForestParams(**doc["params"]),
         [tree_from(t) for t in doc["center_trees"]],
         [tree_from(t) for t in doc["radius_trees"]],
         doc.get("oob", {}),
     )
-    return fit

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, EmptySampleError
 from .frame import IntervalFrame
-from .intervals import HyperInterval, Interval, from_center_radius
 from .linear import PredictionSet
 
 KERNELS = ("gaussian", "epanechnikov", "triangular", "uniform")
@@ -117,17 +116,6 @@ def predict_kernel_rows(fit: KernelFit, queries: np.ndarray) -> PredictionSet:
     return PredictionSet(centers, radii, radii < 0.0, extrapolated=~ok)
 
 
-def predict_kernel(fit: KernelFit, x: HyperInterval) -> Interval:
-    """Single-query prediction as an interval."""
-    if len(x) != fit.p:
-        raise DimensionError(f"model has {fit.p} predictors, query has {len(x)}")
-    q = np.array(
-        [iv.center for iv in x.components] + [iv.radius for iv in x.components]
-    )
-    pred = predict_kernel_rows(fit, q[None, :])
-    return from_center_radius(pred.center[0], pred.radius[0])
-
-
 def predict_kernel_frame(fit: KernelFit, frame: IntervalFrame) -> PredictionSet:
     return predict_kernel_rows(fit, frame.features())
 
@@ -207,9 +195,12 @@ def kernel_to_json(fit: KernelFit) -> str:
 
 
 def kernel_from_json(text: str) -> KernelFit:
-    doc = json.loads(text)
-    if doc.get("model") != "ke":
-        raise ValueError(f"not a kernel model document: {doc.get('model')!r}")
+    from .models import model_from_json  # models imports this module
+
+    return model_from_json(text, kinds=("ke",))
+
+
+def kernel_from_doc(doc: dict) -> KernelFit:
     tr = doc["training"]
     return KernelFit(
         tuple(doc["predictors"]),

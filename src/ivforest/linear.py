@@ -243,9 +243,12 @@ def linear_to_json(fit: LinearFit) -> str:
 
 
 def linear_from_json(text: str) -> LinearFit:
-    doc = json.loads(text)
-    if doc.get("model") not in VARIANTS:
-        raise ValueError(f"not a linear model document: {doc.get('model')!r}")
+    from .models import model_from_json  # models imports this module
+
+    return model_from_json(text, kinds=VARIANTS)
+
+
+def linear_from_doc(doc: dict) -> LinearFit:
     diag = doc["diagnostics"]
     return LinearFit(
         doc["model"],

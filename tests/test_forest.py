@@ -13,12 +13,10 @@ from ivforest.forest import (
     forest_to_json,
     grow_tree,
     oob_error,
-    predict_forest,
     predict_forest_frame,
     predict_forest_rows,
 )
 from ivforest.frame import IntervalFrame, SplitSpec, split
-from ivforest.intervals import HyperInterval, Interval
 from ivforest.rng import stream
 from ivforest.simulate import SimSetting, simulate
 
@@ -174,8 +172,8 @@ class TestFitForest:
             np.full(20, 3.0), np.full(20, 1.0),
         )
         fit = fit_forest(frame, ForestParams(n_trees=10, seed=1))
-        got = predict_forest(fit, HyperInterval((Interval(0, 1),)))
-        assert got == Interval(2.0, 4.0)
+        got = predict_forest_rows(fit, np.array([[0.5, 0.5]]))  # the interval [0, 1]
+        assert (got.lower[0], got.upper[0]) == (2.0, 4.0)
 
     def test_fixed_seed_byte_identical_serialization(self):
         frame = self.small_frame()
@@ -229,8 +227,8 @@ class TestFitForest:
         fit = fit_forest(self.small_frame(), ForestParams(n_trees=2, seed=0))
         with pytest.raises(DimensionError):
             predict_forest_rows(fit, np.ones((1, 6)))
-        with pytest.raises(DimensionError):
-            predict_forest(fit, HyperInterval((Interval(0, 1), Interval(0, 1))))
+        with pytest.raises(DimensionError):  # two intervals [0, 1] for a one-predictor model
+            predict_forest_rows(fit, np.full((1, 4), 0.5))
 
     def test_mtry_default_and_validation(self):
         assert ForestParams().resolved_mtry(2) == 2

@@ -14,7 +14,6 @@ from ivforest.kernel import (
     kernel_to_json,
     kernel_weight,
     loo_loss,
-    predict_kernel,
     predict_kernel_frame,
     predict_kernel_rows,
     select_bandwidth,
@@ -45,8 +44,8 @@ class TestPredict:
         # two training rows symmetric around the query: prediction [0, 4]
         train = frame_from_rows([[-1.0], [1.0]], [[0.5], [0.5]], [0.0, 4.0], [1.0, 3.0])
         fit = fit_kernel(train, h=1.0)
-        got = predict_kernel(fit, HyperInterval((Interval(-0.5, 0.5),)))
-        assert got == Interval(0.0, 4.0)
+        got = predict_kernel_rows(fit, np.array([[0.0, 0.5]]))  # the interval [-0.5, 0.5]
+        assert (got.lower[0], got.upper[0]) == (0.0, 4.0)
 
     def test_huge_bandwidth_gives_training_mean(self):
         rng = np.random.default_rng(3)
@@ -155,8 +154,8 @@ class TestPredict:
     def test_dimension_mismatch(self):
         train = frame_from_rows([[0.0]], [[0.1]], [1.0], [0.5])
         fit = KernelFit(("x1",), train.features(), train.y_center, train.y_radius, 1.0)
-        with pytest.raises(DimensionError):
-            predict_kernel(fit, HyperInterval((Interval(0, 1), Interval(0, 1))))
+        with pytest.raises(DimensionError):  # two intervals [0, 1] for a one-predictor model
+            predict_kernel_rows(fit, np.full((1, 4), 0.5))
 
 
 class TestBandwidth:
