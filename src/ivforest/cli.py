@@ -33,7 +33,8 @@ from .evaluate import (
 )
 from .frame import load_csv, load_feature_csv, write_csv
 from .kernel import KERNELS
-from .models import MODELS, fit_model, fit_settings, model_from_json, model_to_json, predict_features
+from .models import (MODELS, fit_model, fit_settings, model_from_json, model_to_json,
+                     predict_features)
 from .plots import pred_scatter_svg, rectangles_svg
 from .simulate import GAMMA_PARAMETERIZATION, SimSetting, simulate
 
@@ -134,7 +135,7 @@ def cmd_fit(model, in_path, out_path, response, trees, mtry, min_node, max_depth
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def cmd_predict(model_file, in_path, out_path):
     """Predict response intervals for every row of a CSV dataset."""
-    fit = model_from_json(Path(model_file).read_text(encoding="utf-8"), model_file)
+    fit = model_from_json(Path(model_file).read_bytes(), model_file)
     xc, xr = load_feature_csv(in_path, fit.predictor_names)
     Path(out_path).write_text(predictions_csv(predict_features(fit, xc, xr)), encoding="utf-8")
     _manifest_for(out_path, "predict", {"model_file": str(model_file), "in": str(in_path)})
@@ -171,11 +172,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        try:
+            if "-" in part:
+                lo, hi = part.split("-", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(part))
+        except ValueError:
+            raise errors.ConfigError(f"bad list spec {text!r} at {part!r}") from None
     if not out:
         raise errors.ConfigError(f"empty list spec {text!r}")
     return tuple(out)

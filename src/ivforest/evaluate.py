@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateTruthError, DimensionError, EmptySampleError
+from .errors import ConfigError, DegenerateTruthError, DimensionError, EmptySampleError, ParseError
 from .frame import IntervalFrame, SplitSpec, split
 from .linear import PredictionSet
 from .models import MODELS, fit_model, model_names, predict_model
@@ -195,7 +195,10 @@ def resolve_workers(requested: int | None) -> int:
         return max(1, int(requested))
     env = os.environ.get("IVF_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"IVF_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -274,7 +277,8 @@ def _summary_table(head: str, models: tuple[str, ...], scores: dict) -> str:
             for metric in METRICS:
                 vals = [scores[(prefix, m, component)][metric] for m in models]
                 best = models[(np.argmax if metric == "r2" else np.argmin)(vals)]
-                lines.append(f"{prefix}{component},{metric}," + ",".join(map(repr, vals)) + f",{best}")
+                row = ",".join(map(repr, vals))
+                lines.append(f"{prefix}{component},{metric},{row},{best}")
     return "\n".join(lines) + "\n"
 
 
@@ -298,12 +302,17 @@ def read_predictions_csv(path) -> PredictionSet:
         if header is None or [h.strip() for h in header] != PREDICTIONS_HEADER.split(","):
             raise ConfigError(f"{path}: expected header {PREDICTIONS_HEADER!r}")
         lo, hi, flags = [], [], []
-        for raw in reader:
+        for lineno, raw in enumerate(reader, start=1):
             if not raw or all(not cell.strip() for cell in raw):
                 continue
-            lo.append(float(raw[0]))
-            hi.append(float(raw[1]))
-            flags.append(bool(int(raw[2])))
+            if len(raw) != 3:
+                raise ParseError(f"{path}: row {lineno} has {len(raw)} cells, expected 3")
+            try:
+                lo.append(float(raw[0]))
+                hi.append(float(raw[1]))
+                flags.append(bool(int(raw[2])))
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {lineno}: {exc}") from None
     lo_arr = np.asarray(lo)
     hi_arr = np.asarray(hi)
     return PredictionSet(

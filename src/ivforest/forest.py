@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, OOBUnavailableError, UnderdeterminedError
+from .errors import ConfigError, DimensionError, OOBUnavailableError, UnderdeterminedError
 from .frame import IntervalFrame
 from .linear import PredictionSet
 from .rng import stream
@@ -38,20 +38,20 @@ class ForestParams:
 
     def __post_init__(self):
         if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+            raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.min_node < 1:
-            raise ValueError(f"min_node must be >= 1, got {self.min_node}")
+            raise ConfigError(f"min_node must be >= 1, got {self.min_node}")
         if self.mtry is not None and self.mtry < 1:
-            raise ValueError(f"mtry must be >= 1, got {self.mtry}")
+            raise ConfigError(f"mtry must be >= 1, got {self.mtry}")
         if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+            raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
 
     def resolved_mtry(self, m: int) -> int:
         # floor to one candidate per node only when a single feature exists;
         # with one interval predictor (m = 2) both coordinates stay in play
         mtry = self.mtry if self.mtry is not None else min(m, max(2, m // 3))
         if mtry > m:
-            raise ValueError(f"mtry={mtry} exceeds the {m} available features")
+            raise ConfigError(f"mtry={mtry} exceeds the {m} available features")
         return mtry
 
 
@@ -353,22 +353,55 @@ def forest_from_json(text: str) -> ForestFit:
 
 
 def forest_from_doc(doc: dict) -> ForestFit:
-    def tree_from(tdoc: dict) -> Tree:
-        return Tree(
-            np.asarray(tdoc["feature"], dtype=np.int64),
-            np.asarray(tdoc["threshold"], dtype=float),
-            np.asarray(tdoc["left"], dtype=np.int64),
-            np.asarray(tdoc["right"], dtype=np.int64),
-            np.asarray(tdoc["value"], dtype=float),
-            np.asarray(tdoc["count"], dtype=np.int64),
-            np.asarray(tdoc.get("bootstrap", []), dtype=np.int64),
-        )
+    feature_names = tuple(doc["feature_names"])
+    if len(feature_names) != 2 * len(doc["predictors"]):
+        raise ConfigError("'feature_names' must name a center and a radius per predictor")
+
+    def trees_from(key: str) -> list[Tree]:
+        trees = []
+        for i, tdoc in enumerate(doc[key]):
+            tree = Tree(
+                np.asarray(tdoc["feature"], dtype=np.int64),
+                np.asarray(tdoc["threshold"], dtype=float),
+                np.asarray(tdoc["left"], dtype=np.int64),
+                np.asarray(tdoc["right"], dtype=np.int64),
+                np.asarray(tdoc["value"], dtype=float),
+                np.asarray(tdoc["count"], dtype=np.int64),
+                np.asarray(tdoc.get("bootstrap", []), dtype=np.int64),
+            )
+            problem = _tree_problem(tree, len(feature_names))
+            if problem:
+                raise ConfigError(f"{key}[{i}]: {problem}")
+            trees.append(tree)
+        if not trees:
+            raise ConfigError(f"{key!r} holds no tree")
+        return trees
 
     return ForestFit(
-        tuple(doc["feature_names"]),
+        feature_names,
         tuple(doc["predictors"]),
         ForestParams(**doc["params"]),
-        [tree_from(t) for t in doc["center_trees"]],
-        [tree_from(t) for t in doc["radius_trees"]],
+        trees_from("center_trees"),
+        trees_from("radius_trees"),
         doc.get("oob", {}),
     )
+
+
+def _tree_problem(tree: Tree, n_features: int) -> str | None:
+    """Why ``Tree.predict`` could not walk this tree, or None.
+
+    Every split node's children must come after it (``grow_tree`` numbers
+    them so), which rules out cycles; indices and features must be in range.
+    """
+    n = tree.feature.size
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.count)
+    if n == 0 or any(a.shape != (n,) for a in arrays):
+        return "node arrays must be nonempty lists of equal length"
+    split = np.nonzero(tree.feature >= 0)[0]
+    for key in ("left", "right"):
+        child = getattr(tree, key)[split]
+        if np.any(child <= split) or np.any(child >= n):
+            return f"'{key}' must point every split node to a later node in range"
+    if np.any(tree.feature >= n_features):
+        return f"'feature' must be below {n_features}"
+    return None

@@ -202,11 +202,10 @@ def kernel_from_json(text: str) -> KernelFit:
 
 def kernel_from_doc(doc: dict) -> KernelFit:
     tr = doc["training"]
-    return KernelFit(
-        tuple(doc["predictors"]),
-        np.asarray(tr["features"], dtype=float),
-        np.asarray(tr["y_center"], dtype=float),
-        np.asarray(tr["y_radius"], dtype=float),
-        float(doc["bandwidth"]),
-        doc["kernel"],
-    )
+    x = np.asarray(tr["features"], dtype=float)
+    yc = np.asarray(tr["y_center"], dtype=float)
+    yr = np.asarray(tr["y_radius"], dtype=float)
+    if not (x.ndim == 2 and x.shape[1] == 2 * len(doc["predictors"])
+            and yc.shape == yr.shape == x.shape[:1]):
+        raise ConfigError("'training' must hold one row of 2p features and one response per row")
+    return KernelFit(tuple(doc["predictors"]), x, yc, yr, float(doc["bandwidth"]), doc["kernel"])

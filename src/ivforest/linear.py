@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, UnderdeterminedError
+from .errors import ConfigError, DimensionError, NumericError, UnderdeterminedError
 from .frame import IntervalFrame
 
 VARIANTS = ("ccrm", "crm", "minmax")
@@ -250,11 +250,14 @@ def linear_from_json(text: str) -> LinearFit:
 
 def linear_from_doc(doc: dict) -> LinearFit:
     diag = doc["diagnostics"]
+    first, second = (np.asarray(c, dtype=float) for c in doc["coefficients"])
+    if not first.shape == second.shape == (len(doc["predictors"]) + 1,):
+        raise ConfigError("'coefficients' must be two lists of one number per predictor, plus one")
     return LinearFit(
         doc["model"],
         tuple(doc["predictors"]),
-        np.asarray(doc["coefficients"][0], dtype=float),
-        np.asarray(doc["coefficients"][1], dtype=float),
+        first,
+        second,
         float(diag["rss"][0]),
         float(diag["rss"][1]),
         tuple(diag["active_constraints"]),

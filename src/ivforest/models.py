@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IvforestError
 from .forest import (ForestFit, ForestParams, fit_forest, forest_from_doc, forest_to_json,
                      predict_forest_frame, predict_forest_rows)
 from .frame import IntervalFrame
@@ -93,9 +93,13 @@ def model_to_json(fit) -> str:
 def model_from_json(text, source: str = "<string>", kinds: tuple[str, ...] = MODELS):
     """Read a model file's text (str or bytes) holding one of the models ``kinds``.
 
-    A bad envelope is a ConfigError naming ``source`` and the bad key.
+    Any fault, in the envelope or the body, is a ConfigError naming
+    ``source`` and the missing or bad key.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # also bytes that are not UTF-8
+        raise ConfigError(f"{source}: not a JSON model file: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: a model file holds a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
@@ -109,8 +113,13 @@ def model_from_json(text, source: str = "<string>", kinds: tuple[str, ...] = MOD
     if not (isinstance(names, list) and names and all(isinstance(v, str) for v in names)
             and len(set(names)) == len(names)):
         raise ConfigError(f"{source}: 'predictors' must be a nonempty list of distinct names")
-    if name in VARIANTS:
-        return linear_from_doc(doc)
-    if name == "ke":
-        return kernel_from_doc(doc)
-    return forest_from_doc(doc)
+    try:
+        if name in VARIANTS:
+            return linear_from_doc(doc)
+        if name == "ke":
+            return kernel_from_doc(doc)
+        return forest_from_doc(doc)
+    except KeyError as exc:
+        raise ConfigError(f"{source}: {name} model file has no key {exc}") from None
+    except (AttributeError, IndexError, TypeError, ValueError, IvforestError) as exc:
+        raise ConfigError(f"{source}: bad {name} model file: {exc}") from None

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,82 @@ class TestFitPredictEvaluate:
         assert run("predict", "--model-file", str(model_file), "--in", str(train),
                    "--out", str(preds)) == 0
         assert preds.read_text().startswith("y_L,y_U,incoherent\n")
+
+
+def edited_model(tmp_path, model, edit):
+    """Fit ``model`` on a one-predictor CSV, apply ``edit`` to its JSON; predict argv."""
+    train = simulate_csv(tmp_path, n=60, name="train.csv")
+    path = tmp_path / f"{model}.json"
+    extra = ["--trees", "3"] if model == "rf" else []
+    assert run("fit", "--model", model, "--in", str(train), "--out", str(path), *extra) == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ["predict", "--model-file", str(path), "--in", str(train), "--out", str(tmp_path / "p.csv")]
+
+
+def cyclic_root(doc):
+    tree = doc["center_trees"][0]
+    tree["feature"][0], tree["left"][0], tree["right"][0] = 0, 0, 0
+
+
+def not_json(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("not json {", encoding="utf-8")
+    train = simulate_csv(tmp_path, name="train.csv")
+    return ["predict", "--model-file", str(path), "--in", str(train), "--out", str(tmp_path / "p.csv")]
+
+
+def fit_argv(tmp_path, *flags):
+    train = simulate_csv(tmp_path, name="train.csv")
+    return ["fit", "--model", "rf", "--in", str(train), "--out", str(tmp_path / "m.json"), *flags]
+
+
+def bench_argv(tmp_path, *flags):
+    return ["bench", "--settings", "1", "--sizes", "120", "--reps", "1", "--models", "rf",
+            "--trees", "3", *flags, "--out-dir", str(tmp_path / "b")]
+
+
+def evaluate_argv(tmp_path, rows):
+    truth = simulate_csv(tmp_path, n=3, name="truth.csv")
+    pred = tmp_path / "pred.csv"
+    pred.write_text("y_L,y_U,incoherent\n" + rows, encoding="utf-8")
+    return ["evaluate", "--pred", str(pred), "--truth", str(truth)]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# case -> (argv builder, extra environment, exit code, text the error must name)
+FAULTS = {
+    "ccrm file without diagnostics": (
+        lambda t: edited_model(t, "ccrm", lambda d: d.pop("diagnostics")), {}, 2, "'diagnostics'"),
+    "model file not JSON": (not_json, {}, 2, "m.json"),
+    "rf file of format_version 99": (
+        lambda t: edited_model(t, "rf", lambda d: d.update(format_version=99)), {}, 2,
+        "format_version"),
+    "rf file with a cyclic tree": (lambda t: edited_model(t, "rf", cyclic_root), {}, 2,
+                                   "center_trees[0]"),
+    "fit --trees 0": (lambda t: fit_argv(t, "--trees", "0"), {}, 2, "n_trees"),
+    "fit --mtry 9 on one predictor": (lambda t: fit_argv(t, "--mtry", "9"), {}, 2, "mtry"),
+    "bench --trees 0": (lambda t: bench_argv(t, "--trees", "0"), {}, 2, "n_trees"),
+    "bench --settings x": (lambda t: bench_argv(t, "--settings", "x"), {}, 2, "'x'"),
+    "IVF_THREADS=abc": (bench_argv, {"IVF_THREADS": "abc"}, 2, "IVF_THREADS"),
+    "evaluate a non-numeric cell": (lambda t: evaluate_argv(t, "0,1,0\n0,x,0\n0,1,0\n"), {}, 3,
+                                    "row 2"),
+    "evaluate a one-cell row": (lambda t: evaluate_argv(t, "0,1,0\n0\n0,1,0\n"), {}, 3, "row 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAULTS))
+def test_fault_exits_with_documented_code_without_traceback(tmp_path, case):
+    build, env, code, named = FAULTS[case]
+    argv = build(tmp_path)
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "ivforest.cli", *argv], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr
 
 
 class TestBenchCommand:

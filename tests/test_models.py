@@ -1,0 +1,105 @@
+import json
+
+import numpy as np
+import pytest
+
+from ivforest.errors import ConfigError
+from ivforest.frame import SplitSpec, split
+from ivforest.models import MODELS, fit_model, model_from_json, model_to_json, predict_model
+from ivforest.simulate import SimSetting, simulate
+
+
+@pytest.fixture(scope="module")
+def train_test():
+    return split(simulate(SimSetting(3, 120, 8)), SplitSpec(0.5, "random", seed=8))
+
+
+@pytest.fixture(scope="module")
+def forest_text(train_test):
+    return model_to_json(fit_model("rf", train_test[0], seed=1, n_trees=3))
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_round_trip(train_test, name):
+    train, test = train_test
+    fit = fit_model(name, train, seed=4, n_trees=5)
+    text = model_to_json(fit)
+    again = model_from_json(text, "model.json")
+    assert type(again) is type(fit)
+    assert again.predictor_names == train.predictor_names
+    assert model_to_json(again) == text
+    a, b = predict_model(fit, test), predict_model(again, test)
+    np.testing.assert_array_equal(a.center, b.center)
+    np.testing.assert_array_equal(a.radius, b.radius)
+
+
+def test_model_order_is_results_order():
+    assert MODELS == ("ccrm", "crm", "minmax", "ke", "rf")
+
+
+def test_unknown_model_name():
+    with pytest.raises(ConfigError, match="unknown model 'xgb'"):
+        fit_model("xgb", None)
+
+
+ENVELOPE_FAULTS = {
+    "not JSON": ("{", "not a JSON model file"),
+    "not an object": ("[1]", "JSON object"),
+    "no format_version": ('{"model": "ccrm", "predictors": ["x1"]}', "format_version"),
+    "format_version 2": ('{"format_version": 2, "model": "ccrm", "predictors": ["x1"]}',
+                         "format_version"),
+    "unknown model": ('{"format_version": 1, "model": "xgb", "predictors": ["x1"]}', "'xgb'"),
+    "predictors not a list": ('{"format_version": 1, "model": "ke", "predictors": "x1"}',
+                              "predictors"),
+    "repeated predictor": ('{"format_version": 1, "model": "ke", "predictors": ["x1", "x1"]}',
+                           "predictors"),
+    "missing body key": ('{"format_version": 1, "model": "ke", "predictors": ["x1"]}',
+                         "no key 'training'"),
+}
+
+
+@pytest.mark.parametrize("case", list(ENVELOPE_FAULTS))
+def test_envelope_faults_name_the_file(case):
+    text, named = ENVELOPE_FAULTS[case]
+    with pytest.raises(ConfigError, match="^m.json: ") as info:
+        model_from_json(text, "m.json")
+    assert named in str(info.value)
+
+
+def test_kinds_restrict_the_model(forest_text):
+    with pytest.raises(ConfigError, match="'rf' is not one of ke"):
+        model_from_json(forest_text, kinds=("ke",))
+
+
+def _set(key, index, value):
+    def edit(tree):
+        tree[key][index] = value
+    return edit
+
+
+TREE_FAULTS = {
+    "arrays of unequal length": (lambda tree: tree["value"].pop(), "equal length"),
+    "child before its parent": (_set("left", 0, 0), "'left'"),
+    "child out of range": (_set("right", 0, 10**6), "'right'"),
+    "negative child": (_set("left", 0, -1), "'left'"),
+    "split feature out of range": (_set("feature", 0, 2), "'feature' must be below 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(TREE_FAULTS))
+def test_forest_tree_faults_rejected_at_load(forest_text, case):
+    edit, named = TREE_FAULTS[case]
+    doc = json.loads(forest_text)
+    tree = doc["radius_trees"][1]
+    assert tree["feature"][0] >= 0  # the root splits, so its children are checked
+    edit(tree)
+    with pytest.raises(ConfigError, match=r"^rf.json: .*radius_trees\[1\]") as info:
+        model_from_json(json.dumps(doc), "rf.json")
+    assert named in str(info.value)
+
+
+def test_forest_without_trees_rejected(forest_text):
+    doc = json.loads(forest_text)
+    doc["center_trees"] = []
+    with pytest.raises(ConfigError, match="'center_trees' holds no tree"):
+        model_from_json(json.dumps(doc), "rf.json")
