@@ -98,7 +98,8 @@ def edited_model(tmp_path, model, edit):
     doc = json.loads(path.read_text())
     edit(doc)
     path.write_text(json.dumps(doc), encoding="utf-8")
-    return ["predict", "--model-file", str(path), "--in", str(train), "--out", str(tmp_path / "p.csv")]
+    return ["predict", "--model-file", str(path), "--in", str(train),
+            "--out", str(tmp_path / "p.csv")]
 
 
 def cyclic_root(doc):
@@ -110,7 +111,8 @@ def not_json(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("not json {", encoding="utf-8")
     train = simulate_csv(tmp_path, name="train.csv")
-    return ["predict", "--model-file", str(path), "--in", str(train), "--out", str(tmp_path / "p.csv")]
+    return ["predict", "--model-file", str(path), "--in", str(train),
+            "--out", str(tmp_path / "p.csv")]
 
 
 def fit_argv(tmp_path, *flags):
@@ -157,7 +159,8 @@ FAULTS = {
 def test_fault_exits_with_documented_code_without_traceback(tmp_path, case):
     build, env, code, named = FAULTS[case]
     argv = build(tmp_path)
-    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **env, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-m", "ivforest.cli", *argv], capture_output=True,
                           text=True, timeout=60, env=env)
     assert proc.returncode == code, proc.stderr
