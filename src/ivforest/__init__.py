@@ -6,7 +6,6 @@ from .errors import (
     DegenerateTruthError,
     DimensionError,
     EmptySampleError,
-    InvalidIntervalError,
     IvforestError,
     NumericError,
     OOBUnavailableError,
@@ -26,20 +25,7 @@ from .evaluate import (
 )
 from .forest import ForestFit, ForestParams, fit_forest, predict_forest_frame
 from .frame import IntervalFrame, SplitSpec, coherence_report, load_csv, split, write_csv
-from .intervals import (
-    HyperInterval,
-    Interval,
-    WWeight,
-    aumann_mean,
-    delta_distance,
-    from_center_radius,
-    hausdorff,
-    hyper_distance,
-    make_interval,
-    minkowski_add,
-    scalar_mul,
-    w_distance,
-)
+from .intervals import delta_distance, hausdorff, hyper_distance, w_distance
 from .kernel import KernelFit, fit_kernel, predict_kernel_frame, select_bandwidth
 from .linear import LinearFit, PredictionSet, fit_linear, nnls, ols, predict_linear
 from .models import MODELS, fit_model, model_from_json, model_to_json, predict_model

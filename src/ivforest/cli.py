@@ -48,7 +48,6 @@ _DATA_ERRORS = (
     errors.SplitError,
     errors.DimensionError,
     errors.DegenerateTruthError,
-    errors.InvalidIntervalError,
 )
 _CONFIG_ERRORS = (errors.ConfigError, errors.UnknownSettingError)
 _NUMERIC_ERRORS = (errors.NumericError, errors.UnderdeterminedError, errors.OOBUnavailableError)

@@ -5,10 +5,6 @@ class IvforestError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidIntervalError(IvforestError):
-    """Interval bounds are inverted, non-finite, or the radius is negative."""
-
-
 class DimensionError(IvforestError):
     """Operands or rows do not have matching dimensions."""
 

@@ -313,19 +313,17 @@ def oob_error(fit: ForestFit, train: IntervalFrame) -> dict:
     return out
 
 
-def forest_to_json(fit: ForestFit, include_bootstrap: bool = True) -> str:
+def forest_to_json(fit: ForestFit) -> str:
     def tree_doc(tree: Tree) -> dict:
-        doc = {
+        return {
             "feature": tree.feature.tolist(),
             "threshold": tree.threshold.tolist(),
             "left": tree.left.tolist(),
             "right": tree.right.tolist(),
             "value": tree.value.tolist(),
             "count": tree.count.tolist(),
+            "bootstrap": tree.bootstrap.tolist(),
         }
-        if include_bootstrap:
-            doc["bootstrap"] = tree.bootstrap.tolist()
-        return doc
 
     doc = {
         "format_version": 1,

@@ -1,4 +1,4 @@
-"""Interval data container, CSV ingestion, and train/test splitting.
+"""Container for interval data, CSV ingestion, and train/test splitting.
 
 A frame stores centers and radii natively. Files on disk use the bound
 schema ``<name>_L,<name>_U`` per variable, response pair last (or named).
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySampleError, ParseError, SplitError
-from .intervals import HyperInterval, Interval
 from .rng import stream
 
 
@@ -78,19 +77,6 @@ class IntervalFrame:
             self.y_radius[rows],
             self.response_name,
         )
-
-    def predictor_row(self, i: int) -> HyperInterval:
-        """Row i as a hyper interval (requires coherent predictor cells)."""
-        return HyperInterval(
-            tuple(
-                Interval(c - r, c + r)
-                for c, r in zip(self.x_center[i], self.x_radius[i])
-            )
-        )
-
-    def response_interval(self, i: int) -> Interval:
-        c, r = self.y_center[i], self.y_radius[i]
-        return Interval(c - r, c + r)
 
 
 @dataclass(frozen=True)

@@ -1,152 +1,61 @@
-"""Closed bounded intervals: dual bound/center-radius views, Minkowski
-arithmetic, and the metrics used everywhere else in the package.
+"""Metrics between intervals held as (center, radius) arrays.
 
-All metrics are computed in center/radius coordinates. An interval with
-lower == upper (zero radius) is a first-class value.
+The package stores an interval by its center and radius, never as an
+object: a frame keeps (n, p) center and radius arrays, and a feature row
+holds all predictor centers, then all radii. The metrics below work in
+those coordinates. ``hausdorff``, ``delta_distance`` and ``w_distance``
+compare intervals elementwise; each operand is a ``(center, radius)`` pair
+of arrays or scalars that broadcast together. ``hyper_distance`` compares
+feature rows pairwise. A zero radius is a first-class value.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import numpy as np
 
-from .errors import DimensionError, EmptySampleError, ConfigError, InvalidIntervalError
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed bounded interval [lower, upper] with lower <= upper."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise InvalidIntervalError(
-                f"interval bounds must be finite, got [{self.lower}, {self.upper}]"
-            )
-        if self.lower > self.upper:
-            raise InvalidIntervalError(
-                f"interval lower bound {self.lower} exceeds upper bound {self.upper}"
-            )
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-    @property
-    def radius(self) -> float:
-        return 0.5 * (self.upper - self.lower)
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return minkowski_add(self, other)
-
-    def __rmul__(self, lam: float) -> "Interval":
-        return scalar_mul(lam, self)
-
-    def __iter__(self):
-        yield self.lower
-        yield self.upper
+from .errors import ConfigError, DimensionError
 
 
-@dataclass(frozen=True)
-class HyperInterval:
-    """Ordered tuple of intervals, one per predictor dimension."""
-
-    components: tuple[Interval, ...]
-
-    def __post_init__(self):
-        if len(self.components) < 1:
-            raise DimensionError("a hyper interval needs at least one component")
-        object.__setattr__(self, "components", tuple(self.components))
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __getitem__(self, i: int) -> Interval:
-        return self.components[i]
+def hausdorff(a, b) -> np.ndarray:
+    """Hausdorff distance; equals |delta center| + |delta radius|."""
+    return np.abs(np.subtract(a[0], b[0])) + np.abs(np.subtract(a[1], b[1]))
 
 
-@dataclass(frozen=True)
-class WWeight:
-    """Radius weight for the weighted interval distance.
+def delta_distance(a, b) -> np.ndarray:
+    """L2 distance on intervals: sqrt(dc^2 + dr^2)."""
+    return np.hypot(np.subtract(a[0], b[0]), np.subtract(a[1], b[1]))
+
+
+def w_distance(a, b, c_weight: float) -> np.ndarray:
+    """Weighted L2 distance: sqrt(dc^2 + c_weight * dr^2).
 
     ``c_weight`` is the constant a symmetric non-degenerate weighting measure
     on [0, 1] induces on the squared radius difference; it lies in (0, 1],
     and 1 recovers the plain delta distance.
     """
-
-    c_weight: float
-
-    def __post_init__(self):
-        if not (0.0 < self.c_weight <= 1.0) or not math.isfinite(self.c_weight):
-            raise ConfigError(f"c_weight must lie in (0, 1], got {self.c_weight}")
-
-
-def make_interval(lower: float, upper: float) -> Interval:
-    """Build an interval from bounds; raises InvalidIntervalError if inverted."""
-    return Interval(float(lower), float(upper))
+    if not 0.0 < c_weight <= 1.0:
+        raise ConfigError(f"c_weight must lie in (0, 1], got {c_weight}")
+    dc = np.subtract(a[0], b[0])
+    dr = np.subtract(a[1], b[1])
+    return np.sqrt(dc * dc + c_weight * dr * dr)
 
 
-def from_center_radius(c: float, r: float) -> Interval:
-    """Build an interval from its center and (nonnegative) radius."""
-    c = float(c)
-    r = float(r)
-    if not (math.isfinite(c) and math.isfinite(r)):
-        raise InvalidIntervalError(f"center/radius must be finite, got ({c}, {r})")
-    if r < 0.0:
-        raise InvalidIntervalError(f"radius must be nonnegative, got {r}")
-    return Interval(c - r, c + r)
+def hyper_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise distances (m, n) between the rows of ``a`` (m, 2p) and ``b`` (n, 2p).
 
-
-def minkowski_add(a: Interval, b: Interval) -> Interval:
-    """Elementwise set sum: bounds add."""
-    return Interval(a.lower + b.lower, a.upper + b.upper)
-
-
-def scalar_mul(lam: float, a: Interval) -> Interval:
-    """Scale an interval; a negative factor swaps the bounds."""
-    lam = float(lam)
-    if lam >= 0.0:
-        return Interval(lam * a.lower, lam * a.upper)
-    return Interval(lam * a.upper, lam * a.lower)
-
-
-def hausdorff(a: Interval, b: Interval) -> float:
-    """Hausdorff distance; equals |delta center| + |delta radius|."""
-    return abs(a.center - b.center) + abs(a.radius - b.radius)
-
-
-def delta_distance(a: Interval, b: Interval) -> float:
-    """L2 distance on intervals: sqrt(dc^2 + dr^2)."""
-    return math.hypot(a.center - b.center, a.radius - b.radius)
-
-
-def w_distance(a: Interval, b: Interval, w: WWeight) -> float:
-    """Weighted L2 distance: sqrt(dc^2 + c_weight * dr^2)."""
-    dc = a.center - b.center
-    dr = a.radius - b.radius
-    return math.sqrt(dc * dc + w.c_weight * dr * dr)
-
-
-def hyper_distance(x: HyperInterval, y: HyperInterval) -> float:
-    """Root of summed squared center and radius differences over all components."""
-    if len(x) != len(y):
-        raise DimensionError(f"hyper intervals have lengths {len(x)} and {len(y)}")
-    total = 0.0
-    for a, b in zip(x.components, y.components):
-        dc = a.center - b.center
-        dr = a.radius - b.radius
-        total += dc * dc + dr * dr
-    return math.sqrt(total)
-
-
-def aumann_mean(sample: list[Interval]) -> Interval:
-    """Interval whose bounds are the means of the sample bounds."""
-    if len(sample) == 0:
-        raise EmptySampleError("aumann_mean of an empty sample")
-    n = len(sample)
-    return Interval(
-        sum(iv.lower for iv in sample) / n,
-        sum(iv.upper for iv in sample) / n,
-    )
+    Rows are in the feature layout (centers, then radii); the distance is
+    the root of the summed squared center and radius differences over all
+    p components. It is evaluated as |a|^2 + |b|^2 - 2 a.b after
+    subtracting ``b``'s column mean from both, so the cancellation in that
+    expansion scales with the spread of the rows, not with their magnitude:
+    uncentered, centers near 1e4 (price data) lose about eight digits.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(f"rows have {a.shape[1]} and {b.shape[1]} features")
+    mean = b.mean(axis=0)
+    a = a - mean
+    b = b - mean
+    d2 = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T
+    return np.sqrt(np.maximum(d2, 0.0))

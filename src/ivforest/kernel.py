@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, EmptySampleError
 from .frame import IntervalFrame
+from .intervals import hyper_distance
 from .linear import PredictionSet
 
 KERNELS = ("gaussian", "epanechnikov", "triangular", "uniform")
@@ -59,15 +60,10 @@ class KernelFit:
         return self.x_features.shape[1] // 2
 
 
-def fit_kernel(
-    train: IntervalFrame,
-    h: float | None = None,
-    kernel: str = "gaussian",
-    grid: np.ndarray | None = None,
-) -> KernelFit:
+def fit_kernel(train: IntervalFrame, h: float | None = None, kernel: str = "gaussian") -> KernelFit:
     """Retain the training frame; pick h by LOO CV when not given."""
     if h is None:
-        h = select_bandwidth(train, kernel, grid)
+        h = select_bandwidth(train, kernel)
     return KernelFit(
         train.predictor_names,
         train.features(),
@@ -78,42 +74,45 @@ def fit_kernel(
     )
 
 
-def _distances(fit_features: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Hyper-interval distances as Euclidean distance in (centers, radii) space."""
-    d2 = (
-        np.sum(queries**2, axis=1)[:, None]
-        + np.sum(fit_features**2, axis=1)[None, :]
-        - 2.0 * queries @ fit_features.T
-    )
-    return np.sqrt(np.maximum(d2, 0.0))
+def _weighted_average(
+    d: np.ndarray, h: float, kernel: str, y_center: np.ndarray, y_radius: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel-weighted response means for each row of a (queries, training) distance matrix.
+
+    When every weight of a row underflows to zero (a far query under a
+    compact kernel), the row takes the nearest training row's response and
+    is flagged in the returned mask. An infinite distance gives weight zero
+    and is never the nearest.
+    """
+    w = kernel_weight(kernel, d / h)
+    sums = w.sum(axis=1)
+    ok = sums > 0.0
+    centers = np.empty(d.shape[0])
+    radii = np.empty(d.shape[0])
+    if ok.any():
+        centers[ok] = (w[ok] @ y_center) / sums[ok]
+        radii[ok] = (w[ok] @ y_radius) / sums[ok]
+    if (~ok).any():
+        nearest = np.argmin(d[~ok], axis=1)
+        centers[~ok] = y_center[nearest]
+        radii[~ok] = y_radius[nearest]
+    return centers, radii, ~ok
 
 
 def predict_kernel_rows(fit: KernelFit, queries: np.ndarray) -> PredictionSet:
     """Weighted-average predictions for query rows in (centers, radii) layout.
 
-    When every weight underflows to zero (a far query under a compact
-    kernel), the nearest training row's response is returned and the row is
-    flagged as extrapolated.
+    Queries with no positive weight get the nearest training row's response
+    and are flagged as extrapolated.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.shape[1] != fit.x_features.shape[1]:
         raise DimensionError(
             f"model has {fit.p} predictors, queries have {queries.shape[1] // 2}"
         )
-    d = _distances(fit.x_features, queries)
-    w = kernel_weight(fit.kernel, d / fit.h)
-    sums = w.sum(axis=1)
-    ok = sums > 0.0
-    centers = np.empty(queries.shape[0])
-    radii = np.empty(queries.shape[0])
-    if ok.any():
-        centers[ok] = (w[ok] @ fit.y_center) / sums[ok]
-        radii[ok] = (w[ok] @ fit.y_radius) / sums[ok]
-    if (~ok).any():
-        nearest = np.argmin(d[~ok], axis=1)
-        centers[~ok] = fit.y_center[nearest]
-        radii[~ok] = fit.y_radius[nearest]
-    return PredictionSet(centers, radii, radii < 0.0, extrapolated=~ok)
+    d = hyper_distance(queries, fit.x_features)
+    centers, radii, extrapolated = _weighted_average(d, fit.h, fit.kernel, fit.y_center, fit.y_radius)
+    return PredictionSet(centers, radii, radii < 0.0, extrapolated=extrapolated)
 
 
 def predict_kernel_frame(fit: KernelFit, frame: IntervalFrame) -> PredictionSet:
@@ -123,7 +122,7 @@ def predict_kernel_frame(fit: KernelFit, frame: IntervalFrame) -> PredictionSet:
 def default_grid(train: IntervalFrame, n_points: int = 20) -> np.ndarray:
     """Log-spaced bandwidth grid spanning [0.05 s, 5 s], s the median pairwise distance."""
     feats = train.features()
-    d = _distances(feats, feats)
+    d = hyper_distance(feats, feats)
     iu = np.triu_indices(train.n, k=1)
     pairwise = d[iu]
     s = float(np.median(pairwise))
@@ -132,27 +131,22 @@ def default_grid(train: IntervalFrame, n_points: int = 20) -> np.ndarray:
     return np.geomspace(0.05 * s, 5.0 * s, n_points)
 
 
+def _loo_distance_matrix(train: IntervalFrame) -> np.ndarray:
+    """Training distance matrix with an infinite diagonal, so no row weighs itself."""
+    feats = train.features()
+    d = hyper_distance(feats, feats)
+    np.fill_diagonal(d, np.inf)
+    return d
+
+
+def _loo_loss(d_loo: np.ndarray, train: IntervalFrame, kernel: str, h: float) -> float:
+    pc, pr, _ = _weighted_average(d_loo, h, kernel, train.y_center, train.y_radius)
+    return float(np.sum((pc - train.y_center) ** 2 + (pr - train.y_radius) ** 2))
+
+
 def loo_loss(train: IntervalFrame, kernel: str, h: float) -> float:
     """Leave-one-out sum of squared center and radius residuals."""
-    feats = train.features()
-    n = train.n
-    d = _distances(feats, feats)
-    w = kernel_weight(kernel, d / h)
-    np.fill_diagonal(w, 0.0)
-    sums = w.sum(axis=1)
-    ok = sums > 0.0
-    pc = np.empty(n)
-    pr = np.empty(n)
-    if ok.any():
-        pc[ok] = (w[ok] @ train.y_center) / sums[ok]
-        pr[ok] = (w[ok] @ train.y_radius) / sums[ok]
-    if (~ok).any():
-        d_loo = d.copy()
-        np.fill_diagonal(d_loo, np.inf)
-        nearest = np.argmin(d_loo[~ok], axis=1)
-        pc[~ok] = train.y_center[nearest]
-        pr[~ok] = train.y_radius[nearest]
-    return float(np.sum((pc - train.y_center) ** 2 + (pr - train.y_radius) ** 2))
+    return _loo_loss(_loo_distance_matrix(train), train, kernel, h)
 
 
 def select_bandwidth(
@@ -168,10 +162,11 @@ def select_bandwidth(
         raise ConfigError("bandwidth grid is empty")
     if np.any(grid <= 0.0):
         raise ConfigError("bandwidth grid values must be positive")
+    d_loo = _loo_distance_matrix(train)
     best_h = None
     best_loss = np.inf
     for h in sorted(grid):
-        loss = loo_loss(train, kernel, float(h))
+        loss = _loo_loss(d_loo, train, kernel, float(h))
         if loss <= best_loss:  # <= so later (larger) h wins ties
             best_loss = loss
             best_h = float(h)

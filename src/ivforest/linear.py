@@ -77,6 +77,13 @@ def ols(X: np.ndarray, y: np.ndarray) -> OlsResult:
     return OlsResult(coeffs, float(resid @ resid), int(rank), int(rank) < k)
 
 
+def _free_least_squares(X: np.ndarray, y: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients on the free columns, zero on the others."""
+    beta = np.zeros(X.shape[1])
+    beta[free] = np.linalg.lstsq(X[:, free], y, rcond=None)[0]
+    return beta
+
+
 def nnls(X: np.ndarray, y: np.ndarray, max_iter: int | None = None) -> NnlsResult:
     """Least squares under beta >= 0, by the active-set method.
 
@@ -84,7 +91,8 @@ def nnls(X: np.ndarray, y: np.ndarray, max_iter: int | None = None) -> NnlsResul
     variable that went nonpositive back to the active (zero) set along the
     feasible segment, admit the best violating variable by dual value.
     Terminates at the KKT point: free gradients zero, active gradients
-    nonnegative.
+    nonnegative. Raises NumericError when ``max_iter`` steps (default
+    10k) do not reach that point.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -97,32 +105,42 @@ def nnls(X: np.ndarray, y: np.ndarray, max_iter: int | None = None) -> NnlsResul
     beta = np.zeros(k)
     free = np.zeros(k, dtype=bool)
     w = X.T @ y  # negative gradient at beta = 0
-    tol = _NNLS_TOL_FACTOR * max(1.0, float(np.abs(w).max(initial=0.0)))
+    # column j may enter only while its correlation with the residual,
+    # w_j / (|X_j| |y|), is clearly above rounding; rescaling a column or y
+    # leaves that test unchanged
+    tol = _NNLS_TOL_FACTOR * np.linalg.norm(X, axis=0) * np.linalg.norm(y)
 
-    for _ in range(max_iter):
+    for step in range(max_iter + 1):
         candidates = ~free & (w > tol)
         if not candidates.any():
             break
+        if step == max_iter:
+            raise NumericError(f"nnls: no KKT point within max_iter={max_iter} steps")
         j = int(np.argmax(np.where(candidates, w, -np.inf)))
         free[j] = True
-        while True:
-            trial = np.zeros(k)
-            sol, _, _, _ = np.linalg.lstsq(X[:, free], y, rcond=None)
-            trial[free] = sol
-            if trial[free].min() > tol:
+        trial = _free_least_squares(X, y, free)
+        if trial[j] <= 0.0:
+            # w_j > tol was rounding, not descent: j cannot enter (Lawson and
+            # Hanson's test), so try the next candidate
+            free[j] = False
+            w[j] = 0.0
+            continue
+        for _ in range(k):  # a pass that does not settle moves a variable to the active set
+            if trial[free].min() > 0.0:
                 beta = trial
                 break
             # step toward trial until the first free coefficient hits zero
-            shrink = free & (trial <= tol)
+            shrink = np.flatnonzero(free & (trial <= 0.0))
             ratios = beta[shrink] / (beta[shrink] - trial[shrink])
-            alpha = float(ratios.min())
-            beta = beta + alpha * (trial - beta)
-            newly_zero = free & (beta <= tol)
-            beta[newly_zero] = 0.0
-            free[newly_zero] = False
+            beta = beta + ratios.min() * (trial - beta)
+            beta[shrink[np.argmin(ratios)]] = 0.0  # exactly, whatever the rounding
+            free &= beta > 0.0
+            beta[~free] = 0.0
             if not free.any():
-                beta = np.zeros(k)
                 break
+            trial = _free_least_squares(X, y, free)
+        else:
+            raise NumericError(f"nnls: free set did not settle within {k} passes")
         w = X.T @ (y - X @ beta)
 
     beta[~free] = 0.0

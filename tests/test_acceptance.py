@@ -37,15 +37,7 @@ from ivforest.cli import main as cli_main
 from ivforest.evaluate import ExperimentSpec, run_experiment
 from ivforest.forest import best_split
 from ivforest.frame import IntervalFrame, SplitSpec, split, write_csv
-from ivforest.intervals import (
-    HyperInterval,
-    Interval,
-    WWeight,
-    delta_distance,
-    hausdorff,
-    hyper_distance,
-    w_distance,
-)
+from ivforest.intervals import delta_distance, hausdorff, hyper_distance, w_distance
 from ivforest.kernel import fit_kernel, kernel_weight, predict_kernel_rows
 from ivforest.linear import fit_linear, nnls, predict_linear
 from ivforest.rng import derive_seed
@@ -341,7 +333,7 @@ def test_criterion_8_bench_determinism(tmp_path):
 def test_criterion_9_metric_axioms():
     rng = np.random.default_rng(5150)
     n = 100_000
-    w = WWeight(0.37)
+    c_weight = 0.37
 
     def rand_intervals(count):
         a = rng.uniform(-100, 100, count)
@@ -358,7 +350,7 @@ def test_criterion_9_metric_axioms():
         return {
             "hausdorff": np.abs(dc) + np.abs(dr),
             "delta": np.sqrt(dc**2 + dr**2),
-            "w": np.sqrt(dc**2 + w.c_weight * dr**2),
+            "w": np.sqrt(dc**2 + c_weight * dr**2),
             "hyper": np.sqrt(dc**2 + dr**2),
         }
 
@@ -369,26 +361,31 @@ def test_criterion_9_metric_axioms():
         worst = max(worst, float(-np.min(ab[key])))  # non-negativity
         worst = max(worst, float(np.max(ab[key] - ac[key] - cb[key])))  # triangle
 
-    # the vectorized forms must agree with the package's scalar metrics
-    agree = True
-    for i in rng.integers(0, n, 200):
-        a = Interval(triples[0][0][i], triples[0][1][i])
-        b = Interval(triples[1][0][i], triples[1][1][i])
-        agree &= math.isclose(hausdorff(a, b), ab["hausdorff"][i], rel_tol=1e-12, abs_tol=1e-12)
-        agree &= math.isclose(delta_distance(a, b), ab["delta"][i], rel_tol=1e-12, abs_tol=1e-12)
-        agree &= math.isclose(w_distance(a, b, w), ab["w"][i], rel_tol=1e-12, abs_tol=1e-12)
-        agree &= math.isclose(
-            hyper_distance(HyperInterval((a,)), HyperInterval((b,))),
-            ab["hyper"][i], rel_tol=1e-12, abs_tol=1e-12,
-        )
-        agree &= hausdorff(a, a) == 0.0 and delta_distance(a, a) == 0.0
+    # the package's array metrics must agree with the inline formulas on
+    # every triple; hyper_distance is pairwise, so each pair is one (1, 2)
+    # row against one (1, 2) row
+    a = (centers[0], radii[0])
+    b = (centers[1], radii[1])
+    rows_a = np.column_stack(a)[:, None, :]
+    rows_b = np.column_stack(b)[:, None, :]
+    package = {
+        "hausdorff": hausdorff(a, b),
+        "delta": delta_distance(a, b),
+        "w": w_distance(a, b, c_weight),
+        "hyper": np.array([hyper_distance(u, v)[0, 0] for u, v in zip(rows_a, rows_b)]),
+    }
+    disagree = 0.0
+    for key, got in package.items():
+        disagree = max(disagree, float(np.max(np.abs(got - ab[key]) / np.maximum(ab[key], 1.0))))
+    self_zero = bool(np.all(hausdorff(a, a) == 0.0) and np.all(delta_distance(a, a) == 0.0))
 
-    ok = worst <= 1e-9 and agree
+    ok = worst <= 1e-9 and disagree <= 1e-12 and self_zero
     report(
         9,
         ok,
-        f"1e5 random triples, 4 metrics: worst axiom violation {worst:.2e} (<=1e-9), "
-        f"vectorized forms agree with scalar metrics on 200 spot checks: {agree}",
+        f"1e5 random triples, 4 metrics: worst axiom violation {worst:.2e} (<=1e-9); "
+        f"package array metrics vs inline formulas on all 1e5 pairs: worst relative "
+        f"difference {disagree:.2e} (<=1e-12), d(a, a) == 0: {self_zero}",
     )
 
 

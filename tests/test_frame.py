@@ -54,6 +54,13 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 1"):
             load_csv(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        for row in (f"{bad},1,2,4", f"0,{bad},2,4"):
+            path = write(tmp_path, f"x1_L,x1_U,y_L,y_U\n{row}\n")
+            with pytest.raises(ParseError, match="non-finite value at row 1"):
+                load_csv(path)
+
     def test_blank_lines_ignored(self, tmp_path):
         path = write(tmp_path, "x1_L,x1_U,y_L,y_U\n\n0,1,2,4\n\n1,3,0,5\n\n")
         assert load_csv(path).n == 2

@@ -5,154 +5,66 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivforest.errors import ConfigError, DimensionError, EmptySampleError, InvalidIntervalError
-from ivforest.intervals import (
-    HyperInterval,
-    Interval,
-    WWeight,
-    aumann_mean,
-    delta_distance,
-    from_center_radius,
-    hausdorff,
-    hyper_distance,
-    make_interval,
-    minkowski_add,
-    scalar_mul,
-    w_distance,
-)
+from ivforest.errors import ConfigError, DimensionError
+from ivforest.intervals import delta_distance, hausdorff, hyper_distance, w_distance
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
-
-def intervals(draw):
-    a, b = draw(finite), draw(finite)
-    return Interval(min(a, b), max(a, b))
+bounds_st = st.tuples(finite, finite).map(lambda t: (min(t), max(t)))
 
 
-interval_st = st.builds(lambda a, b: Interval(min(a, b), max(a, b)), finite, finite)
+def cr(lower, upper):
+    """(center, radius) of [lower, upper]; works on scalars and arrays."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    return 0.5 * (lower + upper), 0.5 * (upper - lower)
 
 
-class TestConstruction:
-    def test_make_interval(self):
-        iv = make_interval(1, 3)
-        assert (iv.lower, iv.upper) == (1.0, 3.0)
-
-    def test_degenerate(self):
-        iv = make_interval(2, 2)
-        assert iv.lower == iv.upper == 2.0
-        assert iv.radius == 0.0
-
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(InvalidIntervalError):
-            make_interval(3, 1)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(InvalidIntervalError):
-            make_interval(bad, 1)
-        with pytest.raises(InvalidIntervalError):
-            make_interval(0, bad)
-
-    def test_from_center_radius(self):
-        assert from_center_radius(1, 1) == Interval(0, 2)
-        assert from_center_radius(5, 0) == Interval(5, 5)
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(InvalidIntervalError):
-            from_center_radius(0, -0.5)
-
-    @given(interval_st)
-    def test_view_round_trip(self, iv):
-        # tolerance 1e-12 relative to the interval's own magnitude
-        tol = 1e-12 * max(1.0, abs(iv.lower), abs(iv.upper))
-        assert abs((iv.center - iv.radius) - iv.lower) <= tol
-        assert abs((iv.center + iv.radius) - iv.upper) <= tol
-
-
-class TestArithmetic:
-    def test_add(self):
-        assert minkowski_add(Interval(1, 2), Interval(3, 5)) == Interval(4, 7)
-
-    def test_add_identity(self):
-        a = Interval(-2.5, 7.0)
-        assert minkowski_add(Interval(0, 0), a) == a
-
-    def test_add_symmetric(self):
-        assert Interval(-1, 1) + Interval(-2, 2) == Interval(-3, 3)
-
-    def test_scalar_positive(self):
-        assert scalar_mul(2, Interval(1, 3)) == Interval(2, 6)
-
-    def test_scalar_negative_swaps(self):
-        assert scalar_mul(-1, Interval(1, 3)) == Interval(-3, -1)
-
-    def test_scalar_zero(self):
-        assert scalar_mul(0, Interval(-4, 9)) == Interval(0, 0)
-
-    @given(interval_st, interval_st)
-    def test_commutative(self, a, b):
-        assert minkowski_add(a, b) == minkowski_add(b, a)
-
-    @given(interval_st, interval_st, interval_st)
-    def test_associative(self, a, b, c):
-        lhs = minkowski_add(minkowski_add(a, b), c)
-        rhs = minkowski_add(a, minkowski_add(b, c))
-        assert math.isclose(lhs.lower, rhs.lower, rel_tol=1e-9, abs_tol=1e-9)
-        assert math.isclose(lhs.upper, rhs.upper, rel_tol=1e-9, abs_tol=1e-9)
-
-    @given(st.floats(min_value=0, max_value=1e3), interval_st, interval_st)
-    def test_scalar_distributes_over_add(self, lam, a, b):
-        lhs = scalar_mul(lam, minkowski_add(a, b))
-        rhs = minkowski_add(scalar_mul(lam, a), scalar_mul(lam, b))
-        assert math.isclose(lhs.lower, rhs.lower, rel_tol=1e-9, abs_tol=1e-6)
-        assert math.isclose(lhs.upper, rhs.upper, rel_tol=1e-9, abs_tol=1e-6)
-
-    @given(interval_st)
-    def test_no_additive_inverse(self, a):
-        """a + (-1)a widens to [-2r, 2r] instead of collapsing to zero."""
-        s = minkowski_add(a, scalar_mul(-1, a))
-        assert math.isclose(s.lower, -2 * a.radius, rel_tol=1e-9, abs_tol=1e-9)
-        assert math.isclose(s.upper, 2 * a.radius, rel_tol=1e-9, abs_tol=1e-9)
-        if a.radius > 1e-9:
-            assert s != Interval(0, 0)
+def bound_arrays(pairs):
+    """Lower and upper bound arrays of a list of (lower, upper) pairs."""
+    return np.array([lo for lo, _ in pairs]), np.array([hi for _, hi in pairs])
 
 
 class TestMetrics:
     def test_hausdorff_examples(self):
-        assert hausdorff(Interval(0, 2), Interval(1, 3)) == 1
-        a = Interval(-3, 4)
+        assert hausdorff(cr(0, 2), cr(1, 3)) == 1
+        a = cr(-3, 4)
         assert hausdorff(a, a) == 0
-        assert hausdorff(Interval(0, 1), Interval(5, 9)) == 8
+        assert hausdorff(cr(0, 1), cr(5, 9)) == 8
+        # the same three pairs at once, elementwise
+        got = hausdorff(cr([0, -3, 0], [2, 4, 1]), cr([1, -3, 5], [3, 4, 9]))
+        np.testing.assert_array_equal(got, [1.0, 0.0, 8.0])
 
-    @given(interval_st, interval_st)
-    def test_hausdorff_closed_form_matches_endpoint_max(self, a, b):
-        endpoint = max(abs(a.lower - b.lower), abs(a.upper - b.upper))
+    @given(st.lists(st.tuples(bounds_st, bounds_st), min_size=1, max_size=20))
+    def test_hausdorff_closed_form_matches_endpoint_max(self, pairs):
+        (al, au), (bl, bu) = bound_arrays([a for a, _ in pairs]), bound_arrays([b for _, b in pairs])
+        endpoint = np.maximum(np.abs(al - bl), np.abs(au - bu))
         # the closed form works in center/radius coordinates, whose rounding
         # scales with the bounds, not with the distance: tolerance 1e-12
         # relative to the intervals' own magnitude
-        tol = 1e-12 * max(1.0, abs(a.lower), abs(a.upper), abs(b.lower), abs(b.upper))
-        assert abs(hausdorff(a, b) - endpoint) <= tol
+        tol = 1e-12 * np.maximum.reduce([np.ones_like(al), abs(al), abs(au), abs(bl), abs(bu)])
+        assert np.all(np.abs(hausdorff(cr(al, au), cr(bl, bu)) - endpoint) <= tol)
 
     def test_delta_examples(self):
-        assert delta_distance(Interval(0, 2), Interval(1, 3)) == 1
-        a = Interval(2, 5)
+        assert delta_distance(cr(0, 2), cr(1, 3)) == 1
+        a = cr(2, 5)
         assert delta_distance(a, a) == 0
-        assert math.isclose(delta_distance(Interval(0, 2), Interval(0, 4)), math.sqrt(2))
+        assert math.isclose(delta_distance(cr(0, 2), cr(0, 4)), math.sqrt(2))
 
     def test_w_distance_reduces_to_delta_at_one(self):
-        a, b = Interval(0, 2), Interval(0, 4)
-        assert w_distance(a, b, WWeight(1.0)) == delta_distance(a, b)
+        a, b = cr([0, 1, -2], [2, 1, 3]), cr([0, 4, -1], [4, 7, 0])
+        np.testing.assert_array_equal(w_distance(a, b, 1.0), delta_distance(a, b))
 
     def test_w_distance_lebesgue_third(self):
-        got = w_distance(Interval(0, 2), Interval(0, 4), WWeight(1.0 / 3.0))
+        got = w_distance(cr(0, 2), cr(0, 4), 1.0 / 3.0)
         assert math.isclose(got, math.sqrt(4.0 / 3.0), rel_tol=1e-12)
 
     def test_w_distance_identity(self):
-        a = Interval(-1, 6)
+        a = cr(-1, 6)
         for c in (0.1, 1 / 3, 1.0):
-            assert w_distance(a, a, WWeight(c)) == 0
+            assert w_distance(a, a, c) == 0
 
-    @given(interval_st, interval_st, st.floats(min_value=1e-6, max_value=1.0))
+    @given(bounds_st, bounds_st, st.floats(min_value=1e-6, max_value=1.0))
     def test_w_distance_quadrature_oracle(self, a, b, c):
         """Closed form equals the integral of squared support-point differences.
 
@@ -163,8 +75,8 @@ class TestMetrics:
         pure Lebesgue gives c = 1/3, so test both families.
         """
         lam = np.linspace(0.0, 1.0, 20001)
-        fa = lam * a.upper + (1 - lam) * a.lower
-        fb = lam * b.upper + (1 - lam) * b.lower
+        fa = lam * a[1] + (1 - lam) * a[0]
+        fb = lam * b[1] + (1 - lam) * b[0]
         diff2 = (fa - fb) ** 2
         if c >= 1.0 / 3.0:
             # mixture: mass m split between endpoint atoms, rest Lebesgue
@@ -176,24 +88,50 @@ class TestMetrics:
             m = 1.0 - 3.0 * c
             mid = diff2[10000]
             integral = m * mid + (1 - m) * np.trapezoid(diff2, lam)
-        got = w_distance(a, b, WWeight(c))
+        got = w_distance(cr(*a), cr(*b), c)
         assert math.isclose(got, math.sqrt(integral), rel_tol=1e-5, abs_tol=1e-5)
 
     def test_hyper_distance_examples(self):
-        x = HyperInterval((Interval(0, 2),))
-        y = HyperInterval((Interval(2, 4),))
-        assert hyper_distance(x, y) == 2
-        assert hyper_distance(x, x) == 0
+        x = np.array([[1.0, 1.0]])  # [0, 2] as (center, radius)
+        y = np.array([[3.0, 1.0]])  # [2, 4]
+        assert hyper_distance(x, y).shape == (1, 1)
+        assert hyper_distance(x, y)[0, 0] == 2
+        assert hyper_distance(x, x)[0, 0] == 0
 
     def test_hyper_distance_two_components(self):
+        # rows hold centers then radii: x = ([0, 2], [0, 2]), y = ([2, 4], [0, 4]);
         # per-component squared terms: (1-3)^2 + 0 and (1-2)^2 + (1-2)^2
-        x = HyperInterval((Interval(0, 2), Interval(0, 2)))
-        y = HyperInterval((Interval(2, 4), Interval(0, 4)))
-        assert math.isclose(hyper_distance(x, y), math.sqrt(6.0), rel_tol=1e-12)
+        x = np.array([[1.0, 1.0, 1.0, 1.0]])
+        y = np.array([[3.0, 2.0, 1.0, 2.0]])
+        assert math.isclose(hyper_distance(x, y)[0, 0], math.sqrt(6.0), rel_tol=1e-12)
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 3), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e4, 1e8]),
+    )
+    def test_hyper_distance_matches_direct_differences(self, p, m, n, seed, shift):
+        """(m, n) pairwise distances against a loop over rows and coordinates.
+
+        The expansion rounds in proportion to the rows' squared spread about
+        ``b``'s mean, not their magnitude, so a shift of the centers by up
+        to 1e8 does not widen the tolerance.
+        """
+        rng = np.random.default_rng(seed)
+        a = np.hstack([rng.normal(size=(m, p)) + shift, np.abs(rng.normal(size=(m, p)))])
+        b = np.hstack([rng.normal(size=(n, p)) + shift, np.abs(rng.normal(size=(n, p)))])
+        got = hyper_distance(a, b)
+        assert got.shape == (m, n)
+        spread2 = max(np.sum((a - b.mean(axis=0)) ** 2, axis=1).max(),
+                      np.sum((b - b.mean(axis=0)) ** 2, axis=1).max())
+        for i in range(m):
+            for j in range(n):
+                want2 = sum((a[i, k] - b[j, k]) ** 2 for k in range(2 * p))
+                assert abs(got[i, j] ** 2 - want2) <= 1e-12 * spread2
 
     def test_hyper_distance_dimension_mismatch(self):
-        x = HyperInterval((Interval(0, 1),))
-        y = HyperInterval((Interval(0, 1), Interval(0, 1)))
+        x = np.array([[0.5, 0.5]])
+        y = np.array([[0.5, 0.5, 0.5, 0.5]])
         with pytest.raises(DimensionError):
             hyper_distance(x, y)
 
@@ -208,43 +146,22 @@ def _axioms(dist, triples):
 
 
 @settings(max_examples=60)
-@given(st.lists(interval_st, min_size=3, max_size=3))
+@given(st.lists(bounds_st, min_size=3, max_size=3))
 def test_metric_axioms_property(ivs):
-    a, b, c = ivs
-    w = WWeight(0.4)
+    a, b, c = (cr(*iv) for iv in ivs)
     _axioms(hausdorff, [(a, b, c)])
     _axioms(delta_distance, [(a, b, c)])
-    _axioms(lambda u, v: w_distance(u, v, w), [(a, b, c)])
-    _axioms(
-        lambda u, v: hyper_distance(HyperInterval((u,)), HyperInterval((v,))),
-        [(a, b, c)],
-    )
-
-
-class TestAumann:
-    def test_examples(self):
-        assert aumann_mean([Interval(0, 2), Interval(2, 4)]) == Interval(1, 3)
-        assert aumann_mean([Interval(-1, 5)]) == Interval(-1, 5)
-        assert aumann_mean([Interval(0, 1), Interval(0, 3)]) == Interval(0, 2)
-
-    def test_empty_sample(self):
-        with pytest.raises(EmptySampleError):
-            aumann_mean([])
-
-    @given(st.lists(st.tuples(interval_st, interval_st), min_size=1, max_size=12))
-    def test_commutes_with_minkowski_add(self, pairs):
-        added = [minkowski_add(a, b) for a, b in pairs]
-        lhs = aumann_mean(added)
-        rhs = minkowski_add(aumann_mean([a for a, _ in pairs]), aumann_mean([b for _, b in pairs]))
-        assert math.isclose(lhs.lower, rhs.lower, rel_tol=1e-9, abs_tol=1e-6)
-        assert math.isclose(lhs.upper, rhs.upper, rel_tol=1e-9, abs_tol=1e-6)
+    _axioms(lambda u, v: w_distance(u, v, 0.4), [(a, b, c)])
+    _axioms(lambda u, v: hyper_distance(np.array([u]), np.array([v]))[0, 0], [(a, b, c)])
 
 
 class TestWWeight:
+    """The radius weight ``c_weight`` of ``w_distance`` lies in (0, 1]."""
+
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.1, float("nan")])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ConfigError):
-            WWeight(bad)
+            w_distance(cr(0, 2), cr(0, 4), bad)
 
     def test_unit_weight_allowed(self):
-        assert WWeight(1.0).c_weight == 1.0
+        assert w_distance(cr(0, 2), cr(0, 4), 1.0) == math.sqrt(2.0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ivforest.errors import ConfigError, DimensionError, EmptySampleError
-from ivforest.frame import IntervalFrame
-from ivforest.intervals import HyperInterval, Interval, hyper_distance
+from ivforest.frame import IntervalFrame, SplitSpec, split
+from ivforest.intervals import hyper_distance
 from ivforest.kernel import (
     KernelFit,
     default_grid,
@@ -18,6 +18,7 @@ from ivforest.kernel import (
     predict_kernel_rows,
     select_bandwidth,
 )
+from ivforest.simulate import SimSetting, simulate
 
 
 def frame_from_rows(xc, xr, yc, yr, names=None):
@@ -79,13 +80,15 @@ class TestPredict:
         )
         fit = fit_kernel(train, h=float(rng.uniform(0.5, 3.0)))
         q = np.concatenate([rng.normal(size=p), np.abs(rng.normal(size=p))])
-        dists = [
-            hyper_distance(
-                HyperInterval(tuple(Interval(c - r, c + r) for c, r in zip(q[:p], q[p:]))),
-                train.predictor_row(i),
-            )
-            for i in range(n)
-        ]
+        # hand loop over the p center and p radius coordinates of each row
+        dists = []
+        for i in range(n):
+            total = 0.0
+            for k in range(p):
+                dc = q[k] - train.x_center[i, k]
+                dr = q[p + k] - train.x_radius[i, k]
+                total += dc * dc + dr * dr
+            dists.append(math.sqrt(total))
         pred = predict_kernel_rows(fit, q[None, :])
         for values, got in ((train.y_center, pred.center[0]), (train.y_radius, pred.radius[0])):
             want = hand_weighted_average(dists, values, fit.h)
@@ -144,9 +147,7 @@ class TestPredict:
             rng.normal(size=9), np.abs(rng.normal(size=9)),
         )
         fit = fit_kernel(train, h=1.1)
-        from ivforest.kernel import _distances
-
-        d = _distances(fit.x_features, np.array([[0.0, 1.0]]))
+        d = hyper_distance(np.array([[0.0, 1.0]]), fit.x_features)
         w = kernel_weight("gaussian", d / fit.h)
         w = w / w.sum()
         assert math.isclose(w.sum(), 1.0, rel_tol=1e-12)
@@ -208,8 +209,6 @@ class TestBandwidth:
     def test_selected_h_close_to_finer_grid_quality(self):
         """LOO choice on the default grid compares to a grid twice as fine."""
         from ivforest.evaluate import evaluate_frame
-        from ivforest.frame import SplitSpec, split
-        from ivforest.simulate import SimSetting, simulate
 
         frame = simulate(SimSetting(5, 250, 21))
         train, test = split(frame, SplitSpec(0.8, "random", seed=2))
@@ -220,6 +219,38 @@ class TestBandwidth:
             pred = predict_kernel_frame(fit_kernel(train, h=h), test)
             r2[tag] = evaluate_frame(pred, test).center.r2
         assert r2["coarse"] >= r2["fine"] - 0.05
+
+
+class TestPriceScale:
+    """Distances and the bandwidth choice do not depend on where the centers sit.
+
+    Every predictor center of a setting-5 sample is moved by a constant as
+    large as 1e8. The shifted centers are then moved back by the same
+    constant, which is exact in floating point, so both frames hold the same
+    rounded data and differ only in magnitude.
+    """
+
+    @staticmethod
+    def with_centers(frame, x_center):
+        return IntervalFrame(frame.predictor_names, x_center, frame.x_radius,
+                             frame.y_center, frame.y_radius)
+
+    @pytest.mark.parametrize("shift", [1e4, 1e8])
+    def test_distances_and_bandwidth_do_not_move(self, shift):
+        frame = simulate(SimSetting(5, 2000, 1))
+        moved = frame.x_center + shift
+        far, near = self.with_centers(frame, moved), self.with_centers(frame, moved - shift)
+        far_train, far_test = split(far, SplitSpec(0.8, "chronological"))
+        near_train, near_test = split(near, SplitSpec(0.8, "chronological"))
+        got = hyper_distance(far_test.features(), far_train.features())
+        want = hyper_distance(near_test.features(), near_train.features())
+        scale = float(np.median(want))
+        assert np.max(np.abs(got - want)) <= 1e-9 * scale
+        picks = []
+        for train in (far_train, near_train):
+            grid = default_grid(train)
+            picks.append(int(np.flatnonzero(grid == select_bandwidth(train, "gaussian"))[0]))
+        assert picks[0] == picks[1]
 
 
 class TestKernels:

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ivforest.errors import NumericError, UnderdeterminedError
 from ivforest.frame import IntervalFrame, SplitSpec, split
@@ -113,6 +117,48 @@ class TestNnls:
         res = nnls(X, y)
         assert np.all(res.coeffs >= 0)
         assert self.kkt_violation(X, y, res.coeffs) <= 1e-8
+
+    @staticmethod
+    def three_column_problem():
+        """A 6 x 3 problem whose solution (1, 2, 3) has every column free."""
+        X = np.abs(np.random.default_rng(0).normal(size=(6, 3)))
+        return X, X @ np.array([1.0, 2.0, 3.0])
+
+    def test_exhausted_max_iter_raises(self):
+        """All three columns enter at the solution: one admission cannot reach it."""
+        X, y = self.three_column_problem()
+        np.testing.assert_allclose(nnls(X, y).coeffs, [1.0, 2.0, 3.0], atol=1e-10)
+        with pytest.raises(NumericError, match="max_iter"):
+            nnls(X, y, max_iter=1)
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e10])
+    def test_solution_follows_column_and_response_scale(self, scale):
+        """Scaling X by s divides the solution by s; scaling y by s multiplies it by s."""
+        X, y = self.three_column_problem()
+        want = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_allclose(nnls(X * scale, y).coeffs, want / scale, rtol=1e-9)
+        np.testing.assert_allclose(nnls(X, y * scale).coeffs, want * scale, rtol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(lambda k: st.tuples(
+            arrays(float, (k + 3, k), elements=st.integers(-10, 10).map(float)),
+            arrays(float, k + 3, elements=st.floats(-10, 10)),
+        ))
+    )
+    def test_matches_scipy_oracle(self, problem):
+        """Coefficients agree with scipy's NNLS to 1e-8 (|b| + 1), coefficient by coefficient.
+
+        Rounding puts about eps * cond(X) * max|b| on a coefficient whose
+        exact value is zero, so the absolute floor of 1 holds only while
+        max|b| is moderate. Integer entries with cond(X) < 1e3 bound it by
+        |y| / sigma_min(X) < 3e4; entries like 1e-180 would make it 1e180.
+        """
+        X, y = problem
+        assume(np.linalg.cond(X) < 1e3)  # full column rank, so the solution is unique
+        want, _ = scipy.optimize.nnls(X, y)
+        got = nnls(X, y).coeffs
+        assert np.all(np.abs(got - want) <= 1e-8 * (np.abs(want) + 1.0))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_beats_random_feasible_points(self, seed):
