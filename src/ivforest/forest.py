@@ -8,9 +8,10 @@ child residual sum of squares over a per-node random feature subset. Leaf
 values are bootstrap-sample means, so every forest prediction is a convex
 combination of training responses.
 
-All randomness for tree t of a given ensemble comes from the stream keyed
-by (seed, component, t); fits are reproducible tree by tree regardless of
-execution order.
+All trees of an ensemble are grown together, level by level. All
+randomness for tree t comes from the stream keyed by (seed, component, t):
+first its bootstrap, then one draw of candidate features per level for its
+open nodes. Tree t does not depend on how many trees the forest has.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ from .frame import IntervalFrame
 from .linear import PredictionSet
 from .rng import stream
 
-_IMPROVEMENT_TOL = 1e-12
+# fit_forest grows trees together in chunks of this many (tree, bootstrap
+# row) samples, or one tree when a tree has more. Chunk boundaries fall at
+# fixed tree indices, so tree t never depends on n_trees.
+_CHUNK_SAMPLES = 16_384
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,59 @@ class Tree:
         return int(np.sum(self.feature < 0))
 
 
+def _best_splits(
+    xs: np.ndarray, ys: np.ndarray, starts: np.ndarray, min_child: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best split of every node over its candidate features, scored in one pass.
+
+    Row ``j`` of ``xs`` and ``ys`` holds each node's ``j``-th candidate
+    feature and the responses, sorted by that feature within the node; node
+    ``i`` occupies columns ``starts[i]`` up to the next start. A split after
+    column ``a`` puts the node's columns up to ``a`` on the left; it is valid
+    when the feature value changes there and both children keep at least
+    ``min_child`` rows. Gains are computed on node-centered responses, so
+    they keep their precision at any response magnitude.
+
+    Returns per node the winning row and the column of its split. The row
+    is -1 when no gain exceeds 1e-12 * max(1, node RSS): the RSS about the
+    node mean, not the sum of squared responses, so that the tolerance does
+    not grow with the response magnitude. Ties go to the lower row, then
+    the lower column; gains within that same tolerance of the leader are
+    ties.
+    """
+    c, a = xs.shape
+    counts = np.diff(np.append(starts, a))
+    seg = np.repeat(np.arange(starts.size), counts)
+    z = ys - (np.add.reduceat(ys[0], starts) / counts)[seg]
+    tol = 1e-12 * np.maximum(1.0, np.add.reduceat(z[0] * z[0], starts))
+    cs = np.cumsum(z, axis=1)
+    before = np.hstack([np.zeros((c, 1)), cs[:, :-1]])[:, starts]
+    total = (cs[:, starts + counts - 1] - before)[:, seg]
+    left = cs - before[:, seg]
+    n_left = np.arange(1, a + 1) - starts[seg]
+    n_right = counts[seg] - n_left
+    valid = np.zeros((c, a), dtype=bool)
+    valid[:, :-1] = xs[:, :-1] < xs[:, 1:]
+    valid &= (n_left >= max(1, min_child)) & (n_right >= max(1, min_child))
+    gain = np.where(
+        valid,
+        left * left / n_left + (total - left) ** 2 / np.maximum(n_right, 1)
+        - total * total / counts[seg],
+        -np.inf,
+    )
+    top = np.maximum.reduceat(gain, starts, axis=1)
+    cols = np.where(gain == top[:, seg], np.arange(a), a)
+    first = np.minimum.reduceat(cols, starts, axis=1)
+    row = np.full(starts.size, -1)
+    best = np.full(starts.size, -np.inf)
+    for j in range(c):
+        better = top[j] > best + tol
+        row[better] = j
+        best[better] = top[j, better]
+    row[best <= tol] = -1
+    return row, first[np.maximum(row, 0), np.arange(starts.size)]
+
+
 def best_split(
     rows: np.ndarray,
     y: np.ndarray,
@@ -91,124 +148,144 @@ def best_split(
     X: np.ndarray,
     min_child: int = 1,
 ) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, child RSS) over the candidate features.
+    """Best (feature, threshold, child RSS) of one node over the candidate features.
 
     Thresholds sit at midpoints between consecutive distinct sorted values;
     each child must keep at least ``min_child`` rows. Returns None when no
-    split yields two valid children or improves the parent RSS by more than
-    1e-12. Ties break toward the lowest feature index, then the lowest
-    threshold.
+    split yields two valid children or a gain above the tolerance of
+    ``_best_splits``, which scores the node. Ties break toward the lowest
+    feature index, then the lowest threshold.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    ynode = y[rows]
-    n = ynode.size
-    if n < 2 or n < 2 * min_child:
+    features = np.sort(np.asarray(features, dtype=np.int64))
+    if rows.size < 2 or rows.size < 2 * min_child or features.size == 0:
         return None
-    total = float(ynode.sum())
-    sumsq = float(ynode @ ynode)
-    parent_score = total * total / n
-    kk = np.arange(1, n)
-    lo = max(1, min_child)
-    best_score = -np.inf
-    best_feature = -1
-    best_threshold = 0.0
-    # candidates whose scores differ only by floating noise are ties; the
-    # earlier (lower-index) feature keeps them
-    tie_eps = 1e-12 * max(1.0, sumsq)
-    for f in sorted(int(f) for f in features):
-        xv = X[rows, f]
-        order = np.argsort(xv)
-        xs = xv[order]
-        valid = xs[:-1] < xs[1:]
-        if min_child > 1:
-            valid = valid.copy()
-            valid[: lo - 1] = False
-            valid[n - lo :] = False
-        if not valid.any():
-            continue
-        cs = np.cumsum(ynode[order])[:-1]
-        score = np.where(valid, cs * cs / kk + (total - cs) ** 2 / (n - kk), -np.inf)
-        j = int(np.argmax(score))
-        if score[j] > best_score + tie_eps:
-            best_score = float(score[j])
-            best_feature = f
-            best_threshold = 0.5 * (xs[j] + xs[j + 1])
-    if best_feature < 0 or best_score - parent_score <= _IMPROVEMENT_TOL:
+    X = np.asarray(X, dtype=float)
+    ynode = np.asarray(y, dtype=float)[rows]
+    xv = X[rows][:, features].T
+    order = np.argsort(xv, axis=1, kind="stable")
+    xs = np.take_along_axis(xv, order, axis=1)
+    row, col = _best_splits(xs, ynode[order], np.zeros(1, dtype=np.int64), min_child)
+    if row[0] < 0:
         return None
-    return best_feature, best_threshold, sumsq - best_score
+    j, a = row[0], col[0]
+    threshold = 0.5 * (xs[j, a] + xs[j, a + 1])
+    go_left = X[rows, features[j]] <= threshold
+    rss = sum(float(np.sum((part - part.mean()) ** 2)) for part in (ynode[go_left], ynode[~go_left]))
+    return int(features[j]), float(threshold), rss
 
 
-def grow_tree(
-    bootstrap: np.ndarray,
-    y: np.ndarray,
+def grow_trees(
     X: np.ndarray,
+    y: np.ndarray,
+    bootstraps: list[np.ndarray],
+    rngs: list[np.random.Generator],
     params: ForestParams,
-    rng: np.random.Generator,
-) -> Tree:
-    """Grow one tree on the bootstrap multiset of rows.
+) -> list[Tree]:
+    """Grow one tree per (bootstrap, generator) pair, all of them level by level.
 
-    A node becomes a leaf when it has fewer than 2 * min_node rows, the
-    depth limit is reached, or no candidate split improves the RSS. Splits
-    keep at least min_node rows per child, so every leaf under a splittable
-    parent holds at least min_node rows.
+    A sample is a (tree, bootstrap row) pair. For each feature the samples
+    stay sorted by (node, value): after each level a stable sort by child
+    node keeps that order, and samples in new leaves are dropped. A node is
+    open when it holds at least 2 * min_node samples and lies above
+    max_depth. At each level a tree draws the candidate features of all its
+    open nodes in one call, ``rng.random((k, m)).argsort(axis=1)[:, :mtry]``,
+    and ``_best_splits`` scores every open node of every tree at once. An
+    open node without a valid split becomes a leaf, as does every node that
+    is not open. Leaf values are bootstrap means. Nodes are numbered level
+    by level, so children always come after their parent.
     """
-    bootstrap = np.asarray(bootstrap, dtype=np.int64)
-    Xb = np.asarray(X, dtype=float)[bootstrap]
-    yb = np.asarray(y, dtype=float)[bootstrap]
-    m = Xb.shape[1]
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n_trees = len(bootstraps)
+    m = X.shape[1]
     mtry = params.resolved_mtry(m)
     min_node = params.min_node
-    max_depth = params.max_depth
+    rows = np.concatenate(bootstraps).astype(np.int64)
+    tree_of = np.repeat(np.arange(n_trees), [b.size for b in bootstraps])
+    Xs, ys = X[rows], y[rows]
+    rank = np.argsort(np.argsort(X, axis=0, kind="stable"), axis=0, kind="stable")
+    # order[f]: sample ids sorted by (node, feature f); every row has the same node layout
+    order = np.argsort(tree_of * X.shape[0] + rank[rows].T, axis=1, kind="stable")
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    count: list[int] = []
+    node_of = tree_of.copy()  # each sample's node at the current level, -1 once in a leaf
+    level_tree = np.arange(n_trees)  # tree of each node at the current level
+    n_nodes = np.ones(n_trees, dtype=np.int64)
+    levels = []
+    depth = 0
+    while level_tree.size:
+        k = level_tree.size
+        live = np.flatnonzero(node_of >= 0)
+        node = node_of[live]
+        count = np.bincount(node, minlength=k)
+        value = np.bincount(node, weights=ys[live], minlength=k) / count
+        feature = np.full(k, -1, dtype=np.int64)
+        threshold = np.zeros(k)
+        is_open = count >= 2 * min_node
+        if params.max_depth is not None and depth >= params.max_depth:
+            is_open[:] = False
+        opened = np.flatnonzero(is_open)
+        order = order[:, np.repeat(is_open, count)]
+        split = opened[:0]
+        if opened.size:
+            cand = _draw_candidates(rngs, level_tree[opened], m, mtry)
+            # each open node's candidates, spread over its samples
+            feat = cand[np.repeat(np.arange(opened.size), count[opened])].T
+            samples = order[feat, np.arange(order.shape[1])]
+            xs = Xs[samples, feat]
+            starts = np.cumsum(count[opened]) - count[opened]
+            row, col = _best_splits(xs, ys[samples], starts, min_node)
+            ok = row >= 0
+            split = opened[ok]
+            feature[split] = cand[ok, row[ok]]
+            threshold[split] = 0.5 * (xs[row[ok], col[ok]] + xs[row[ok], col[ok] + 1])
 
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        count.append(0)
-        return len(feature) - 1
+        # children: the r-th split node of a tree at this level gets ids n + 2r, n + 2r + 1
+        split_tree = level_tree[split]
+        left = np.full(k, -1, dtype=np.int64)
+        left[split] = (
+            n_nodes[split_tree] + 2 * (np.arange(split.size) - np.searchsorted(split_tree, split_tree))
+        )
+        right = np.where(left >= 0, left + 1, -1)
+        n_nodes += 2 * np.bincount(split_tree, minlength=n_trees)
+        levels.append((level_tree, feature, threshold, left, right,
+                       np.where(feature >= 0, 0.0, value), count))
 
-    root = new_node()
-    stack = [(root, np.arange(bootstrap.size, dtype=np.int64), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        count[node] = idx.size
-        split = None
-        if idx.size >= 2 * min_node and (max_depth is None or depth < max_depth):
-            candidates = np.sort(rng.choice(m, size=mtry, replace=False))
-            split = best_split(idx, yb, candidates, Xb, min_child=min_node)
-        if split is None:
-            value[node] = float(yb[idx].mean())
-            continue
-        f, thr, _ = split
-        feature[node] = f
-        threshold[node] = thr
-        go_left = Xb[idx, f] <= thr
-        left_id = new_node()
-        right_id = new_node()
-        left[node] = left_id
-        right[node] = right_id
-        # push right first so the left subtree is processed (and numbered) next
-        stack.append((right_id, idx[~go_left], depth + 1))
-        stack.append((left_id, idx[go_left], depth + 1))
+        # each sample moves to its child's index at the next level, 2q or 2q + 1 for split q
+        child = np.full(k, -1, dtype=np.int64)
+        child[split] = 2 * np.arange(split.size)
+        go_right = Xs[live, feature[node]] > threshold[node]
+        node_of[live] = np.where(child[node] >= 0, child[node] + go_right, -1)
+        key = node_of[order]
+        keep = key >= 0
+        order = order[keep].reshape(m, -1)
+        order = np.take_along_axis(
+            order, np.argsort(key[keep].reshape(m, -1), axis=1, kind="stable"), axis=1
+        )
+        level_tree = np.repeat(split_tree, 2)
+        depth += 1
 
-    return Tree(
-        np.asarray(feature, dtype=np.int64),
-        np.asarray(threshold, dtype=float),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        np.asarray(value, dtype=float),
-        np.asarray(count, dtype=np.int64),
-        bootstrap,
-    )
+    # within a tree, levels and the nodes of a level come in id order
+    columns = [np.concatenate(c) for c in zip(*levels)]
+    by_tree = np.argsort(columns[0], kind="stable")
+    bounds = np.cumsum(n_nodes)[:-1]
+    arrays = [np.split(c[by_tree], bounds) for c in columns[1:]]
+    return [
+        Tree(*(a[t] for a in arrays), np.asarray(boot, dtype=np.int64))
+        for t, boot in enumerate(bootstraps)
+    ]
+
+
+def _draw_candidates(
+    rngs: list[np.random.Generator], node_tree: np.ndarray, m: int, mtry: int
+) -> np.ndarray:
+    """Sorted candidate features of each node; one draw per tree, nodes grouped by tree."""
+    cand = np.empty((node_tree.size, mtry), dtype=np.int64)
+    trees, first, per_tree = np.unique(node_tree, return_index=True, return_counts=True)
+    for t, i, k in zip(trees.tolist(), first.tolist(), per_tree.tolist()):
+        cand[i : i + k] = rngs[t].random((k, m)).argsort(axis=1)[:, :mtry]
+    cand.sort(axis=1)
+    return cand
 
 
 @dataclass
@@ -236,10 +313,14 @@ def fit_forest(train: IntervalFrame, params: ForestParams | None = None) -> Fore
     fit = ForestFit(train.feature_names(), train.predictor_names, params)
     for component, y in (("center", train.y_center), ("radius", train.y_radius)):
         trees = []
-        for t in range(params.n_trees):
-            rng = stream("tree", params.seed, component, t)
-            boot = rng.integers(0, n, n)
-            trees.append(grow_tree(boot, y, X, params, rng))
+        per_chunk = max(1, _CHUNK_SAMPLES // n)
+        for start in range(0, params.n_trees, per_chunk):
+            rngs = [
+                stream("tree", params.seed, component, t)
+                for t in range(start, min(start + per_chunk, params.n_trees))
+            ]
+            boots = [rng.integers(0, n, n) for rng in rngs]  # each tree's bootstrap comes first
+            trees += grow_trees(X, y, boots, rngs, params)
         if component == "center":
             fit.center_trees = trees
         else:
@@ -388,7 +469,7 @@ def forest_from_doc(doc: dict) -> ForestFit:
 def _tree_problem(tree: Tree, n_features: int) -> str | None:
     """Why ``Tree.predict`` could not walk this tree, or None.
 
-    Every split node's children must come after it (``grow_tree`` numbers
+    Every split node's children must come after it (``grow_trees`` numbers
     them so), which rules out cycles; indices and features must be in range.
     """
     n = tree.feature.size

@@ -87,6 +87,8 @@ def _weighted_average(
     w = kernel_weight(kernel, d / h)
     sums = w.sum(axis=1)
     ok = sums > 0.0
+    if ok.all():  # the usual case: no masked copies of w
+        return (w @ y_center) / sums, (w @ y_radius) / sums, ~ok
     centers = np.empty(d.shape[0])
     radii = np.empty(d.shape[0])
     if ok.any():
@@ -123,9 +125,8 @@ def default_grid(train: IntervalFrame, n_points: int = 20) -> np.ndarray:
     """Log-spaced bandwidth grid spanning [0.05 s, 5 s], s the median pairwise distance."""
     feats = train.features()
     d = hyper_distance(feats, feats)
-    iu = np.triu_indices(train.n, k=1)
-    pairwise = d[iu]
-    s = float(np.median(pairwise))
+    upper = np.arange(train.n)[:, None] < np.arange(train.n)  # pairs i < j, row by row
+    s = float(np.median(d[upper]))
     if s <= 0.0:
         s = 1.0  # all rows identical; the scale is arbitrary
     return np.geomspace(0.05 * s, 5.0 * s, n_points)

@@ -7,11 +7,12 @@ from ivforest.errors import DimensionError, OOBUnavailableError, Underdetermined
 from ivforest.evaluate import evaluate_frame
 from ivforest.forest import (
     ForestParams,
+    _tree_problem,
     best_split,
     fit_forest,
     forest_from_json,
     forest_to_json,
-    grow_tree,
+    grow_trees,
     oob_error,
     predict_forest_frame,
     predict_forest_rows,
@@ -112,6 +113,11 @@ class TestBestSplit:
             assert math.isclose(got[2], oracle[2], rel_tol=1e-9, abs_tol=1e-9)
 
 
+def grow_tree(bootstrap, y, X, params, rng):
+    """One tree from the level-wise builder."""
+    return grow_trees(X, y, [np.asarray(bootstrap)], [rng], params)[0]
+
+
 class TestGrowTree:
     def test_min_node_at_least_n_gives_single_leaf(self):
         rng = np.random.default_rng(0)
@@ -154,6 +160,57 @@ class TestGrowTree:
         y = rng.normal(size=100)
         tree = grow_tree(np.arange(100), y, X, ForestParams(max_depth=1, seed=0), stream("t", 4))
         assert tree.n_leaves <= 2
+
+
+class TestLevelWiseBuilder:
+    def test_tree_does_not_depend_on_forest_size(self):
+        """Tree t is the same array for array whether it is grown with 2 or
+        49 other trees; 50 trees of 1600 rows span several sample chunks."""
+        frame = simulate(SimSetting(7, 1600, 21))
+        params = ForestParams(n_trees=50, seed=8)
+        assert params.resolved_mtry(10) < 10
+        big = fit_forest(frame, params)
+        small = fit_forest(frame, ForestParams(n_trees=3, seed=8))
+        for component in ("center_trees", "radius_trees"):
+            for a, b in zip(getattr(small, component), getattr(big, component)):
+                for name in ("feature", "threshold", "left", "right", "value", "count", "bootstrap"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+    @pytest.mark.parametrize("setting", [3, 7])
+    def test_every_node_matches_brute_force(self, setting):
+        frame = simulate(SimSetting(setting, 90, 4))
+        X = frame.features()
+        m = X.shape[1]
+        fit = fit_forest(frame, ForestParams(n_trees=4, mtry=m, min_node=3, seed=2))
+        for trees, y in ((fit.center_trees, frame.y_center), (fit.radius_trees, frame.y_radius)):
+            scale = float(np.max(np.abs(y)))
+            for tree in trees:
+                assert _tree_problem(tree, m) is None
+                stack = [(0, tree.bootstrap)]
+                while stack:
+                    node, rows = stack.pop()
+                    assert tree.count[node] == rows.size
+                    f = tree.feature[node]
+                    if f < 0:
+                        assert abs(tree.value[node] - y[rows].mean()) <= 1e-12 * scale
+                        continue
+                    oracle = brute_force_split(rows, y, range(m), X, min_child=3)
+                    assert oracle is not None and (f, tree.threshold[node]) == oracle[:2]
+                    l, r = tree.left[node], tree.right[node]
+                    assert tree.count[node] == tree.count[l] + tree.count[r]
+                    go_left = X[rows, f] <= tree.threshold[node]
+                    stack += [(l, rows[go_left]), (r, rows[~go_left])]
+
+    @pytest.mark.parametrize("level", [0.1, 1e4 + 0.1, 1e8 + 0.3])
+    def test_constant_response_is_one_leaf_at_any_scale(self, level):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(200, 2))
+        y = np.full(200, level)
+        assert best_split(np.arange(200), y, [0, 1], X) is None
+        frame = IntervalFrame(("x1",), X[:, :1], np.abs(X[:, 1:]), y, np.full(200, 0.5))
+        fit = fit_forest(frame, ForestParams(n_trees=10, seed=1))
+        assert all(t.n_leaves == 1 for t in fit.center_trees + fit.radius_trees)
 
 
 class TestFitForest:
