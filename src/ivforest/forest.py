@@ -105,8 +105,8 @@ def _best_splits(
     is -1 when no gain exceeds 1e-12 * max(1, node RSS): the RSS about the
     node mean, not the sum of squared responses, so that the tolerance does
     not grow with the response magnitude. Ties go to the lower row, then
-    the lower column; gains within that same tolerance of the leader are
-    ties.
+    the lower column; gains within that same tolerance of the leader, be it
+    in another row or the same one, are ties.
     """
     c, a = xs.shape
     counts = np.diff(np.append(starts, a))
@@ -129,7 +129,9 @@ def _best_splits(
         -np.inf,
     )
     top = np.maximum.reduceat(gain, starts, axis=1)
-    cols = np.where(gain == top[:, seg], np.arange(a), a)
+    # the running sum carries rounding from earlier nodes of the row, so
+    # exact ties within a feature can differ by a few ulps
+    cols = np.where(gain >= (top - tol)[:, seg], np.arange(a), a)
     first = np.minimum.reduceat(cols, starts, axis=1)
     row = np.full(starts.size, -1)
     best = np.full(starts.size, -np.inf)

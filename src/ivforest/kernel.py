@@ -87,13 +87,10 @@ def _weighted_average(
     w = kernel_weight(kernel, d / h)
     sums = w.sum(axis=1)
     ok = sums > 0.0
-    if ok.all():  # the usual case: no masked copies of w
-        return (w @ y_center) / sums, (w @ y_radius) / sums, ~ok
-    centers = np.empty(d.shape[0])
-    radii = np.empty(d.shape[0])
-    if ok.any():
-        centers[ok] = (w[ok] @ y_center) / sums[ok]
-        radii[ok] = (w[ok] @ y_radius) / sums[ok]
+    # a row without positive weight is all zeros, so its products are 0
+    safe = np.where(ok, sums, 1.0)
+    centers = (w @ y_center) / safe
+    radii = (w @ y_radius) / safe
     if (~ok).any():
         nearest = np.argmin(d[~ok], axis=1)
         centers[~ok] = y_center[nearest]

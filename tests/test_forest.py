@@ -202,6 +202,17 @@ class TestLevelWiseBuilder:
                     go_left = X[rows, f] <= tree.threshold[node]
                     stack += [(l, rows[go_left]), (r, rows[~go_left])]
 
+    def test_symmetric_tie_in_a_later_node_takes_lowest_threshold(self):
+        """Rows 0-3 have symmetric responses, so thresholds 0.5 and 2.5 tie.
+        Tree 1's root follows tree 0's root in the scored row, whose centered
+        responses 1.1 - 2.2 and 3.3 - 2.2 do not sum to exactly zero."""
+        X = np.array([0.0, 1.0, 2.0, 3.0, 10.0, 11.0])[:, None]
+        y = np.array([0.0, 4.0, 4.0, 8.0, 1.1, 3.3])
+        params = ForestParams(n_trees=2, min_node=1, max_depth=1)
+        rngs = [stream("t", 5), stream("t", 6)]
+        trees = grow_trees(X, y, [np.array([4, 5]), np.arange(4)], rngs, params)
+        assert trees[1].threshold[0] == 0.5
+
     @pytest.mark.parametrize("level", [0.1, 1e4 + 0.1, 1e8 + 0.3])
     def test_constant_response_is_one_leaf_at_any_scale(self, level):
         rng = np.random.default_rng(3)
