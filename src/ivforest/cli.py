@@ -119,12 +119,14 @@ def cmd_simulate(setting, n_rows, seed, out_path):
 def cmd_fit(model, in_path, out_path, response, trees, mtry, min_node, max_depth, seed,
             kernel, bandwidth, bw_auto):
     """Fit a model to a CSV dataset and write the fit as JSON."""
+    if bw_auto and bandwidth is not None:
+        raise click.UsageError("--bw-auto selects the bandwidth; do not also pass --bandwidth")
     train = load_csv(in_path, response=response)
     fit = fit_model(model, train, seed, kernel, bandwidth, n_trees=trees, mtry=mtry,
                     min_node=min_node, max_depth=max_depth)
     Path(out_path).write_text(model_to_json(fit), encoding="utf-8")
     config = {"model": model, "in": str(in_path), "response": train.response_name, "seed": seed,
-              **fit_settings(fit, bw_auto=bw_auto or bandwidth is None)}
+              **fit_settings(fit, bw_auto=bandwidth is None)}
     _manifest_for(out_path, "fit", config)
 
 
@@ -172,13 +174,13 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         if not part:
             continue
         try:
-            if "-" in part:
-                lo, hi = part.split("-", 1)
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(part))
+            lo, dash, hi = part.partition("-")
+            lo, hi = int(lo), int(hi if dash else lo)
         except ValueError:
             raise errors.ConfigError(f"bad list spec {text!r} at {part!r}") from None
+        if hi < lo:
+            raise errors.ConfigError(f"descending range in list spec {text!r} at {part!r}")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise errors.ConfigError(f"empty list spec {text!r}")
     return tuple(out)

@@ -28,7 +28,8 @@ from .rng import stream
 
 # fit_forest grows trees together in chunks of this many (tree, bootstrap
 # row) samples, or one tree when a tree has more. Chunk boundaries fall at
-# fixed tree indices, so tree t never depends on n_trees.
+# fixed tree indices, so tree t never depends on n_trees. _tree_sums walks
+# trees in blocks of as many (tree, query row) pairs.
 _CHUNK_SAMPLES = 16_384
 
 
@@ -70,18 +71,6 @@ class Tree:
     value: np.ndarray  # leaf mean (0 for internal nodes)
     count: np.ndarray  # rows reaching the node in the bootstrap sample
     bootstrap: np.ndarray  # indices into the training frame, with repetition
-
-    def predict(self, queries: np.ndarray) -> np.ndarray:
-        idx = np.zeros(queries.shape[0], dtype=np.int64)
-        feat = self.feature
-        active = np.nonzero(feat[idx] >= 0)[0]
-        while active.size:
-            node = idx[active]
-            f = feat[node]
-            go_left = queries[active, f] <= self.threshold[node]
-            idx[active] = np.where(go_left, self.left[node], self.right[node])
-            active = active[feat[idx[active]] >= 0]
-        return self.value[idx]
 
     @property
     def n_leaves(self) -> int:
@@ -331,11 +320,48 @@ def fit_forest(train: IntervalFrame, params: ForestParams | None = None) -> Fore
     return fit
 
 
-def _forest_predict(trees: list[Tree], queries: np.ndarray) -> np.ndarray:
-    acc = np.zeros(queries.shape[0])
-    for tree in trees:
-        acc += tree.predict(queries)
-    return acc / len(trees)
+def _tree_sums(
+    trees: list[Tree], X: np.ndarray, out_of_bag: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``X``, its leaf values summed in tree order and how many trees counted it.
+
+    With ``out_of_bag``, ``X`` holds the training rows and a tree counts only rows outside its
+    bootstrap. Blocks of about ``_CHUNK_SAMPLES`` (tree, row) pairs walk their concatenated
+    node arrays, gathering both children, so any numbering with children after their parent
+    works. Each block is added one tree at a time, in the order of a per-tree loop.
+    """
+    n = X.shape[0]
+    Xt = X.T.ravel()  # X[r, f] is Xt[f * n + r]
+    total = np.zeros(n)
+    counts = np.zeros(n, dtype=np.int64)
+    per_block = max(1, _CHUNK_SAMPLES // max(1, n))
+    for start in range(0, len(trees), per_block):
+        block = trees[start : start + per_block]
+        sizes = [t.feature.size for t in block]
+        roots = np.cumsum(sizes) - sizes
+        feature, threshold, left, right, value = (
+            np.concatenate([getattr(t, key) for t in block])
+            for key in ("feature", "threshold", "left", "right", "value")
+        )
+        tree_of = np.repeat(np.arange(len(block)), sizes)
+        left, right = (child + roots[tree_of] for child in (left, right))
+        # pair b * n + r of tree b and row r finds X[r, f] at pair + (f - b) * n in Xt
+        offset = (feature - tree_of) * n
+        counted = np.ones((len(block), n), dtype=bool)
+        if out_of_bag:
+            for i, tree in enumerate(block):
+                counted[i, tree.bootstrap] = False
+        node = np.repeat(roots, n)  # each (tree, row) pair starts at its tree's root
+        active = np.flatnonzero(counted.ravel() & (feature[node] >= 0))
+        while active.size:
+            at = node[active]
+            go_left = Xt[offset[at] + active] <= threshold[at]
+            node[active] = np.where(go_left, left[at], right[at])
+            active = active[feature[node[active]] >= 0]
+        for leaf, mask in zip(value[node].reshape(len(block), n), counted):
+            np.add(total, leaf, out=total, where=mask)
+            counts += mask
+    return total, counts
 
 
 def predict_forest_rows(fit: ForestFit, queries: np.ndarray) -> PredictionSet:
@@ -345,8 +371,8 @@ def predict_forest_rows(fit: ForestFit, queries: np.ndarray) -> PredictionSet:
         raise DimensionError(
             f"model has {len(fit.feature_names)} features, queries have {queries.shape[1]}"
         )
-    centers = _forest_predict(fit.center_trees, queries)
-    radii = _forest_predict(fit.radius_trees, queries)
+    centers = np.divide(*_tree_sums(fit.center_trees, queries))
+    radii = np.divide(*_tree_sums(fit.radius_trees, queries))
     return PredictionSet(centers, radii, radii < 0.0)
 
 
@@ -367,15 +393,7 @@ def oob_error(fit: ForestFit, train: IntervalFrame) -> dict:
         ("center", fit.center_trees, train.y_center),
         ("radius", fit.radius_trees, train.y_radius),
     ):
-        acc = np.zeros(n)
-        hits = np.zeros(n, dtype=np.int64)
-        for tree in trees:
-            in_bag = np.bincount(tree.bootstrap, minlength=n) > 0
-            oob_rows = np.nonzero(~in_bag)[0]
-            if oob_rows.size == 0:
-                continue
-            acc[oob_rows] += tree.predict(X[oob_rows])
-            hits[oob_rows] += 1
+        acc, hits = _tree_sums(trees, X, out_of_bag=True)
         used = hits > 0
         if not used.any():
             raise OOBUnavailableError(
@@ -469,7 +487,7 @@ def forest_from_doc(doc: dict) -> ForestFit:
 
 
 def _tree_problem(tree: Tree, n_features: int) -> str | None:
-    """Why ``Tree.predict`` could not walk this tree, or None.
+    """Why ``_tree_sums`` could not walk this tree, or None.
 
     Every split node's children must come after it (``grow_trees`` numbers
     them so), which rules out cycles; indices and features must be in range.

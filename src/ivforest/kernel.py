@@ -187,12 +187,6 @@ def kernel_to_json(fit: KernelFit) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def kernel_from_json(text: str) -> KernelFit:
-    from .models import model_from_json  # models imports this module
-
-    return model_from_json(text, kinds=("ke",))
-
-
 def kernel_from_doc(doc: dict) -> KernelFit:
     tr = doc["training"]
     x = np.asarray(tr["features"], dtype=float)

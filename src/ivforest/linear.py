@@ -159,43 +159,23 @@ def fit_linear(variant: str, train: IntervalFrame) -> LinearFit:
             f"{variant} needs at least p + 2 = {train.p + 2} rows, got {train.n}"
         )
     if variant == "minmax":
-        xl = design(train.x_center - train.x_radius)
-        xu = design(train.x_center + train.x_radius)
-        lo = ols(xl, train.y_center - train.y_radius)
-        up = ols(xu, train.y_center + train.y_radius)
-        return LinearFit(
-            variant,
-            train.predictor_names,
-            lo.coeffs,
-            up.coeffs,
-            lo.rss,
-            up.rss,
-            rank_deficient=lo.rank_deficient or up.rank_deficient,
-        )
-    xc = design(train.x_center)
-    xr = design(train.x_radius)
-    center = ols(xc, train.y_center)
-    if variant == "ccrm":
-        radius = nnls(xr, train.y_radius)
-        return LinearFit(
-            variant,
-            train.predictor_names,
-            center.coeffs,
-            radius.coeffs,
-            center.rss,
-            radius.rss,
-            active_constraints=radius.active,
-            rank_deficient=center.rank_deficient,
-        )
-    radius = ols(xr, train.y_radius)
+        xs = (train.x_center - train.x_radius, train.x_center + train.x_radius)
+        ys = (train.y_center - train.y_radius, train.y_center + train.y_radius)
+    else:
+        xs = (train.x_center, train.x_radius)
+        ys = (train.y_center, train.y_radius)
+    first = ols(design(xs[0]), ys[0])
+    second = (nnls if variant == "ccrm" else ols)(design(xs[1]), ys[1])
+    # an nnls result has active constraints and no rank; an ols result the reverse
     return LinearFit(
         variant,
         train.predictor_names,
-        center.coeffs,
-        radius.coeffs,
-        center.rss,
-        radius.rss,
-        rank_deficient=center.rank_deficient or radius.rank_deficient,
+        first.coeffs,
+        second.coeffs,
+        first.rss,
+        second.rss,
+        active_constraints=getattr(second, "active", ()),
+        rank_deficient=first.rank_deficient or getattr(second, "rank_deficient", False),
     )
 
 
@@ -258,12 +238,6 @@ def linear_to_json(fit: LinearFit) -> str:
         },
     }
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def linear_from_json(text: str) -> LinearFit:
-    from .models import model_from_json  # models imports this module
-
-    return model_from_json(text, kinds=VARIANTS)
 
 
 def linear_from_doc(doc: dict) -> LinearFit:

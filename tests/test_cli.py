@@ -147,7 +147,11 @@ FAULTS = {
     "fit --trees 0": (lambda t: fit_argv(t, "--trees", "0"), {}, 2, "n_trees"),
     "fit --mtry 9 on one predictor": (lambda t: fit_argv(t, "--mtry", "9"), {}, 2, "mtry"),
     "bench --trees 0": (lambda t: bench_argv(t, "--trees", "0"), {}, 2, "n_trees"),
+    "fit --bw-auto with --bandwidth": (
+        lambda t: fit_argv(t, "--model", "ke", "--bw-auto", "--bandwidth", "0.5"), {}, 2,
+        "--bandwidth"),
     "bench --settings x": (lambda t: bench_argv(t, "--settings", "x"), {}, 2, "'x'"),
+    "bench --settings 1,7-5": (lambda t: bench_argv(t, "--settings", "1,7-5"), {}, 2, "'7-5'"),
     "IVF_THREADS=abc": (bench_argv, {"IVF_THREADS": "abc"}, 2, "IVF_THREADS"),
     "evaluate a non-numeric cell": (lambda t: evaluate_argv(t, "0,1,0\n0,x,0\n0,1,0\n"), {}, 3,
                                     "row 2"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 from ivforest.errors import DimensionError, OOBUnavailableError, UnderdeterminedError
 from ivforest.evaluate import evaluate_frame
 from ivforest.forest import (
+    _CHUNK_SAMPLES,
     ForestParams,
+    Tree,
     _tree_problem,
+    _tree_sums,
     best_split,
     fit_forest,
     forest_from_json,
@@ -135,8 +139,8 @@ class TestGrowTree:
         assert tree.n_leaves == 2
         oracle = brute_force_split(np.arange(20), y, [0], X, min_child=5)
         assert math.isclose(tree.threshold[0], oracle[1], rel_tol=1e-12)
-        preds = tree.predict(np.array([[-0.5], [0.5]]))
-        np.testing.assert_allclose(preds, [0.0, 1.0])
+        sums, counts = _tree_sums([tree], np.array([[-0.5], [0.5]]))
+        np.testing.assert_allclose(sums / counts, [0.0, 1.0])
 
     def test_constant_response_single_leaf(self):
         X = np.random.default_rng(1).normal(size=(30, 2))
@@ -391,3 +395,83 @@ class TestSerialization:
     def test_wrong_document_kind(self):
         with pytest.raises(ValueError):
             forest_from_json('{"model": "ke"}')
+
+
+def route(tree, X):
+    """Leaf value of every row of X in one tree, stepping all rows together."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    while np.any(tree.feature[node] >= 0):
+        f = tree.feature[node]
+        below = X[rows, np.maximum(f, 0)] <= tree.threshold[node]
+        child = np.where(below, tree.left[node], tree.right[node])
+        node = np.where(f >= 0, child, node)
+    return tree.value[node]
+
+
+def preorder(tree):
+    """The same tree with its nodes numbered depth first, left subtree first."""
+    order, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if tree.feature[node] >= 0:
+            stack += [tree.right[node], tree.left[node]]
+    order = np.array(order)
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(order.size)
+    left, right = (np.where(c[order] >= 0, new_id[c[order]], -1) for c in (tree.left, tree.right))
+    return Tree(tree.feature[order], tree.threshold[order], left, right, tree.value[order],
+                tree.count[order], tree.bootstrap)
+
+
+class TestTraversal:
+    def test_preorder_file_predicts_like_breadth_first(self):
+        """Model files written before level-wise growth number nodes in preorder."""
+        frame = simulate(SimSetting(7, 200, 3))
+        fit = fit_forest(frame, ForestParams(n_trees=10, seed=4))
+        old = dataclasses.replace(fit, center_trees=[preorder(t) for t in fit.center_trees],
+                                  radius_trees=[preorder(t) for t in fit.radius_trees])
+        assert any(np.any(t.right[t.feature >= 0] != t.left[t.feature >= 0] + 1)
+                   for t in old.center_trees)
+        again = forest_from_json(forest_to_json(old))
+        q = simulate(SimSetting(7, 300, 5)).features()
+        a, b = predict_forest_rows(fit, q), predict_forest_rows(again, q)
+        assert a.center.tobytes() == b.center.tobytes()
+        assert a.radius.tobytes() == b.radius.tobytes()
+        assert oob_error(again, frame) == fit.oob
+
+    @pytest.mark.parametrize("n_rows, per_block", [(16_385, 1), (4096, 4), (5000, 3)])
+    def test_matches_per_tree_router(self, n_rows, per_block):
+        """8 trees in blocks of 1, of 4 (two full blocks) and of 3 (3, 3, 2)."""
+        assert max(1, _CHUNK_SAMPLES // n_rows) == per_block
+        fit = fit_forest(simulate(SimSetting(7, 300, 1)), ForestParams(n_trees=8, seed=2))
+        frame = simulate(SimSetting(7, n_rows, 2))
+        X = frame.features()
+        boot = np.random.default_rng(3)
+        fit = dataclasses.replace(
+            fit,
+            center_trees=[dataclasses.replace(t, bootstrap=boot.integers(0, n_rows, n_rows))
+                          for t in fit.center_trees],
+            radius_trees=[dataclasses.replace(t, bootstrap=boot.integers(0, n_rows, n_rows))
+                          for t in fit.radius_trees],
+        )
+        pred = predict_forest_rows(fit, X)
+        oob = oob_error(fit, frame)
+        for trees, got, y, component in (
+            (fit.center_trees, pred.center, frame.y_center, "center"),
+            (fit.radius_trees, pred.radius, frame.y_radius, "radius"),
+        ):
+            total, acc, hits = np.zeros(n_rows), np.zeros(n_rows), np.zeros(n_rows, dtype=int)
+            for tree in trees:
+                leaf = route(tree, X)
+                total += leaf
+                out = np.ones(n_rows, dtype=bool)
+                out[tree.bootstrap] = False
+                acc[out] += leaf[out]
+                hits[out] += 1
+            np.testing.assert_array_equal(got, total / len(trees))
+            used = hits > 0
+            resid = acc[used] / hits[used] - y[used]
+            assert oob[component]["rows_used"] == used.sum()
+            assert oob[component]["mse"] == float(np.mean(resid**2))

@@ -10,7 +10,6 @@ from ivforest.kernel import (
     KernelFit,
     default_grid,
     fit_kernel,
-    kernel_from_json,
     kernel_to_json,
     kernel_weight,
     loo_loss,
@@ -18,6 +17,7 @@ from ivforest.kernel import (
     predict_kernel_rows,
     select_bandwidth,
 )
+from ivforest.models import model_from_json
 from ivforest.simulate import SimSetting, simulate
 
 
@@ -279,7 +279,7 @@ class TestSerialization:
             rng.normal(size=6), np.abs(rng.normal(size=6)),
         )
         fit = fit_kernel(train, h=0.8, kernel="triangular")
-        again = kernel_from_json(kernel_to_json(fit))
+        again = model_from_json(kernel_to_json(fit), kinds=("ke",))
         q = np.array([[0.1, 0.2, 0.3, 0.4]])
         a, b = predict_kernel_rows(fit, q), predict_kernel_rows(again, q)
         assert a.center[0] == b.center[0]

@@ -8,15 +8,16 @@ from hypothesis.extra.numpy import arrays
 from ivforest.errors import NumericError, UnderdeterminedError
 from ivforest.frame import IntervalFrame, SplitSpec, split
 from ivforest.linear import (
+    VARIANTS,
     design,
     fit_linear,
-    linear_from_json,
     linear_to_json,
     nnls,
     ols,
     predict_linear,
     predict_linear_frame,
 )
+from ivforest.models import model_from_json
 from ivforest.simulate import SimSetting, simulate
 
 
@@ -273,7 +274,7 @@ class TestPredictLinear:
 class TestSerialization:
     def test_round_trip(self):
         fit = fit_linear("ccrm", simulate(SimSetting(2, 300, 1)))
-        again = linear_from_json(linear_to_json(fit))
+        again = model_from_json(linear_to_json(fit), kinds=VARIANTS)
         np.testing.assert_array_equal(again.first_coeffs, fit.first_coeffs)
         np.testing.assert_array_equal(again.second_coeffs, fit.second_coeffs)
         assert again.variant == fit.variant
@@ -281,4 +282,4 @@ class TestSerialization:
 
     def test_wrong_document_kind(self):
         with pytest.raises(ValueError):
-            linear_from_json('{"model": "rf"}')
+            model_from_json('{"model": "rf"}', kinds=VARIANTS)

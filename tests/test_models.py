@@ -5,7 +5,8 @@ import pytest
 
 from ivforest.errors import ConfigError
 from ivforest.frame import SplitSpec, split
-from ivforest.models import MODELS, fit_model, model_from_json, model_to_json, predict_model
+from ivforest.models import (MODELS, fit_model, model_from_json, model_to_json, predict_features,
+                             predict_model)
 from ivforest.simulate import SimSetting, simulate
 
 
@@ -31,6 +32,15 @@ def test_round_trip(train_test, name):
     a, b = predict_model(fit, test), predict_model(again, test)
     np.testing.assert_array_equal(a.center, b.center)
     np.testing.assert_array_equal(a.radius, b.radius)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_zero_row_query_gives_empty_predictions(train_test, name):
+    train = train_test[0]
+    fit = fit_model(name, train, seed=4, n_trees=5)
+    empty = np.empty((0, train.p))
+    pred = predict_features(fit, empty, empty)
+    assert pred.center.shape == pred.radius.shape == pred.incoherent.shape == (0,)
 
 
 def test_model_order_is_results_order():
