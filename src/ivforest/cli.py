@@ -211,7 +211,6 @@ def cmd_bench(settings, sizes, reps, models, seed, train_fraction, trees, mtry, 
               kernel, bandwidth, workers, out_dir, real_path, response, train_count, split_mode):
     """Run the benchmark grid (or a real dataset) and write results + summary CSVs."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     model_list = tuple(m.strip() for m in models.split(",") if m.strip())
 
     if real_path is not None:
@@ -232,6 +231,7 @@ def cmd_bench(settings, sizes, reps, models, seed, train_fraction, trees, mtry, 
             kernel=kernel,
             bandwidth=bandwidth,
         )
+        out.mkdir(parents=True, exist_ok=True)
         (out / "summary.csv").write_text(real_summary_csv(reports), encoding="utf-8")
         for m, pred in predictions.items():
             (out / f"predictions_{m}.csv").write_text(predictions_csv(pred), encoding="utf-8")
@@ -262,6 +262,7 @@ def cmd_bench(settings, sizes, reps, models, seed, train_fraction, trees, mtry, 
         bandwidth=bandwidth,
         workers=workers,
     )
+    out.mkdir(parents=True, exist_ok=True)  # before the run, so a bad --out-dir fails fast
     result = run_experiment(spec)
     (out / "results.csv").write_text(results_csv(result), encoding="utf-8")
     (out / "summary.csv").write_text(summary_csv(result), encoding="utf-8")

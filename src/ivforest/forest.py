@@ -11,7 +11,8 @@ combination of training responses.
 All trees of an ensemble are grown together, level by level. All
 randomness for tree t comes from the stream keyed by (seed, component, t):
 first its bootstrap, then one draw of candidate features per level for its
-open nodes. Tree t does not depend on how many trees the forest has.
+open nodes (none when every feature is a candidate). Tree t does not depend
+on how many trees the forest has.
 """
 
 from __future__ import annotations
@@ -181,10 +182,12 @@ def grow_trees(
     open when it holds at least 2 * min_node samples and lies above
     max_depth. At each level a tree draws the candidate features of all its
     open nodes in one call, ``rng.random((k, m)).argsort(axis=1)[:, :mtry]``,
-    and ``_best_splits`` scores every open node of every tree at once. An
+    unless ``mtry == m``, when every feature is a candidate and nothing is
+    drawn. ``_best_splits`` scores every open node of every tree at once. An
     open node without a valid split becomes a leaf, as does every node that
     is not open. Leaf values are bootstrap means. Nodes are numbered level
-    by level, so children always come after their parent.
+    by level, so children always come after their parent, and a split
+    node's right child directly follows its left (``right == left + 1``).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -270,7 +273,12 @@ def grow_trees(
 def _draw_candidates(
     rngs: list[np.random.Generator], node_tree: np.ndarray, m: int, mtry: int
 ) -> np.ndarray:
-    """Sorted candidate features of each node; one draw per tree, nodes grouped by tree."""
+    """Sorted candidate features of each node; one draw per tree, nodes grouped by tree.
+
+    With ``mtry == m`` every feature is a candidate and no generator is drawn from.
+    """
+    if mtry == m:
+        return np.broadcast_to(np.arange(m), (node_tree.size, m))
     cand = np.empty((node_tree.size, mtry), dtype=np.int64)
     trees, first, per_tree = np.unique(node_tree, return_index=True, return_counts=True)
     for t, i, k in zip(trees.tolist(), first.tolist(), per_tree.tolist()):
@@ -327,8 +335,10 @@ def _tree_sums(
 
     With ``out_of_bag``, ``X`` holds the training rows and a tree counts only rows outside its
     bootstrap. Blocks of about ``_CHUNK_SAMPLES`` (tree, row) pairs walk their concatenated
-    node arrays, gathering both children, so any numbering with children after their parent
-    works. Each block is added one tree at a time, in the order of a per-tree loop.
+    node arrays. A pair steps from split node ``i`` to ``left[i] + (x > threshold[i])``, so
+    every split node's right child must directly follow its left, as ``grow_trees`` numbers
+    them and ``forest_from_doc`` renumbers older files; other trees raise ValueError. Each block
+    is added one tree at a time, in the order of a per-tree loop.
     """
     n = X.shape[0]
     Xt = X.T.ravel()  # X[r, f] is Xt[f * n + r]
@@ -337,14 +347,18 @@ def _tree_sums(
     per_block = max(1, _CHUNK_SAMPLES // max(1, n))
     for start in range(0, len(trees), per_block):
         block = trees[start : start + per_block]
+        if not _siblings_adjacent(block):
+            raise ValueError(f"trees {start}..{start + len(block) - 1}: a split node's "
+                             "right child must directly follow its left")
         sizes = [t.feature.size for t in block]
         roots = np.cumsum(sizes) - sizes
-        feature, threshold, left, right, value = (
+        feature, threshold, left, value = (
             np.concatenate([getattr(t, key) for t in block])
-            for key in ("feature", "threshold", "left", "right", "value")
+            for key in ("feature", "threshold", "left", "value")
         )
+        inner = feature >= 0
         tree_of = np.repeat(np.arange(len(block)), sizes)
-        left, right = (child + roots[tree_of] for child in (left, right))
+        left = left + roots[tree_of]
         # pair b * n + r of tree b and row r finds X[r, f] at pair + (f - b) * n in Xt
         offset = (feature - tree_of) * n
         counted = np.ones((len(block), n), dtype=bool)
@@ -352,16 +366,25 @@ def _tree_sums(
             for i, tree in enumerate(block):
                 counted[i, tree.bootstrap] = False
         node = np.repeat(roots, n)  # each (tree, row) pair starts at its tree's root
-        active = np.flatnonzero(counted.ravel() & (feature[node] >= 0))
+        active = np.flatnonzero(counted.ravel() & inner[node])
         while active.size:
             at = node[active]
-            go_left = Xt[offset[at] + active] <= threshold[at]
-            node[active] = np.where(go_left, left[at], right[at])
-            active = active[feature[node[active]] >= 0]
+            step = left[at] + (Xt[offset[at] + active] > threshold[at])
+            node[active] = step
+            active = active[inner[step]]
         for leaf, mask in zip(value[node].reshape(len(block), n), counted):
             np.add(total, leaf, out=total, where=mask)
             counts += mask
     return total, counts
+
+
+def _siblings_adjacent(trees: list[Tree]) -> bool:
+    """Whether every split node of these trees has ``right == left + 1``."""
+    feature, left, right = (
+        np.concatenate([getattr(t, key) for t in trees]) for key in ("feature", "left", "right")
+    )
+    split = feature >= 0
+    return bool(np.all(right[split] == left[split] + 1))
 
 
 def predict_forest_rows(fit: ForestFit, queries: np.ndarray) -> PredictionSet:
@@ -471,7 +494,7 @@ def forest_from_doc(doc: dict) -> ForestFit:
             problem = _tree_problem(tree, len(feature_names))
             if problem:
                 raise ConfigError(f"{key}[{i}]: {problem}")
-            trees.append(tree)
+            trees.append(tree if _siblings_adjacent([tree]) else _level_order(tree))
         if not trees:
             raise ConfigError(f"{key!r} holds no tree")
         return trees
@@ -487,10 +510,12 @@ def forest_from_doc(doc: dict) -> ForestFit:
 
 
 def _tree_problem(tree: Tree, n_features: int) -> str | None:
-    """Why ``_tree_sums`` could not walk this tree, or None.
+    """Why this tree could not be renumbered and walked, or None.
 
     Every split node's children must come after it (``grow_trees`` numbers
-    them so), which rules out cycles; indices and features must be in range.
+    them so), which rules out cycles, and no node may be the child of two
+    split nodes, or both children of one; indices and features must be in
+    range.
     """
     n = tree.feature.size
     arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.count)
@@ -501,6 +526,32 @@ def _tree_problem(tree: Tree, n_features: int) -> str | None:
         child = getattr(tree, key)[split]
         if np.any(child <= split) or np.any(child >= n):
             return f"'{key}' must point every split node to a later node in range"
+    children = np.concatenate([tree.left[split], tree.right[split]])
+    if np.unique(children).size < children.size:
+        return "'left' and 'right' must name each node at most once"
     if np.any(tree.feature >= n_features):
         return f"'feature' must be below {n_features}"
     return None
+
+
+def _level_order(tree: Tree) -> Tree:
+    """The same tree numbered level by level, each split node's children adjacent.
+
+    This is the numbering ``grow_trees`` gives; model files written before
+    level-wise growth number nodes depth first. Nodes the root does not
+    reach are dropped. ``tree`` must pass ``_tree_problem``.
+    """
+    levels = [np.zeros(1, dtype=np.int64)]
+    while levels[-1].size:
+        split = levels[-1][tree.feature[levels[-1]] >= 0]
+        levels.append(np.column_stack([tree.left[split], tree.right[split]]).ravel())
+    order = np.concatenate(levels)
+    new_id = np.empty(tree.feature.size, dtype=np.int64)
+    new_id[order] = np.arange(order.size)
+    feature = tree.feature[order]
+    split = feature >= 0
+    left = np.full(order.size, -1, dtype=np.int64)
+    left[split] = new_id[tree.left[order[split]]]
+    right = np.where(split, left + 1, -1)
+    return Tree(feature, tree.threshold[order], left, right, tree.value[order],
+                tree.count[order], tree.bootstrap)

@@ -206,10 +206,17 @@ class TestBenchCommand:
     def test_zero_reps_exits_2(self, tmp_path):
         assert run("bench", "--settings", "1", "--reps", "0", "--models", "ccrm",
                    "--out-dir", str(tmp_path / "z")) == 2
+        assert not (tmp_path / "z").exists()
 
     def test_unknown_model_exits_2(self, tmp_path):
         assert run("bench", "--settings", "1", "--models", "xgb",
                    "--out-dir", str(tmp_path / "z")) == 2
+        assert not (tmp_path / "z").exists()
+
+    def test_usage_error_leaves_no_out_dir(self, tmp_path):
+        assert run("bench", "--settings", "1,7-5", "--sizes", "200", "--reps", "1",
+                   "--models", "ccrm", "--out-dir", str(tmp_path / "bb")) == 2
+        assert not (tmp_path / "bb").exists()
 
     def test_ivf_threads_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("IVF_THREADS", "1")

@@ -181,6 +181,33 @@ class TestLevelWiseBuilder:
                     x, y = getattr(a, name), getattr(b, name)
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
+    @pytest.mark.parametrize("setting", [1, 7])
+    def test_right_child_follows_left(self, setting):
+        fit = fit_forest(simulate(SimSetting(setting, 200, 6)), ForestParams(n_trees=20, seed=3))
+        for tree in fit.center_trees + fit.radius_trees:
+            split = tree.feature >= 0
+            np.testing.assert_array_equal(tree.right[split], tree.left[split] + 1)
+
+    def test_every_feature_a_candidate_draws_nothing(self):
+        """With mtry == m no generator is drawn from, and the trees are those
+        grown with generators that draw candidates."""
+
+        class NoDraw:
+            def random(self, *args, **kwargs):
+                raise AssertionError("candidate features drawn")
+
+        X = simulate(SimSetting(7, 150, 2)).features()
+        y = np.random.default_rng(4).normal(size=150)
+        m = X.shape[1]
+        boots = [stream("boot", t).integers(0, 150, 150) for t in range(6)]
+        for params in (ForestParams(mtry=m, min_node=2), ForestParams(mtry=m, max_depth=3)):
+            real = grow_trees(X, y, boots, [stream("t", t) for t in range(6)], params)
+            fake = grow_trees(X, y, boots, [NoDraw() for _ in range(6)], params)
+            for a, b in zip(real, fake):
+                for name in ("feature", "threshold", "left", "right", "value", "count"):
+                    x, z = getattr(a, name), getattr(b, name)
+                    assert x.dtype == z.dtype and x.tobytes() == z.tobytes(), name
+
     @pytest.mark.parametrize("setting", [3, 7])
     def test_every_node_matches_brute_force(self, setting):
         frame = simulate(SimSetting(setting, 90, 4))
@@ -435,11 +462,23 @@ class TestTraversal:
         assert any(np.any(t.right[t.feature >= 0] != t.left[t.feature >= 0] + 1)
                    for t in old.center_trees)
         again = forest_from_json(forest_to_json(old))
+        for a, b in zip(fit.center_trees + fit.radius_trees,
+                        again.center_trees + again.radius_trees):
+            split = b.feature >= 0
+            np.testing.assert_array_equal(b.right[split], b.left[split] + 1)
+            for name in ("feature", "threshold", "left", "right", "value", "count"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
         q = simulate(SimSetting(7, 300, 5)).features()
         a, b = predict_forest_rows(fit, q), predict_forest_rows(again, q)
         assert a.center.tobytes() == b.center.tobytes()
         assert a.radius.tobytes() == b.radius.tobytes()
         assert oob_error(again, frame) == fit.oob
+
+    def test_preorder_tree_is_not_walked(self):
+        fit = fit_forest(simulate(SimSetting(7, 200, 3)), ForestParams(n_trees=3, seed=4))
+        trees = [preorder(t) for t in fit.center_trees]
+        with pytest.raises(ValueError, match="right child must directly follow its left"):
+            _tree_sums(trees, simulate(SimSetting(7, 20, 5)).features())
 
     @pytest.mark.parametrize("n_rows, per_block", [(16_385, 1), (4096, 4), (5000, 3)])
     def test_matches_per_tree_router(self, n_rows, per_block):

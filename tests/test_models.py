@@ -87,12 +87,21 @@ def _set(key, index, value):
     return edit
 
 
+def _share_child(tree):
+    """The first split node after the root shares its left child with the root."""
+    b = next(i for i in range(1, len(tree["feature"])) if tree["feature"][i] >= 0)
+    tree["left"][0] = tree["left"][b]
+
+
 TREE_FAULTS = {
     "arrays of unequal length": (lambda tree: tree["value"].pop(), "equal length"),
     "child before its parent": (_set("left", 0, 0), "'left'"),
     "child out of range": (_set("right", 0, 10**6), "'right'"),
     "negative child": (_set("left", 0, -1), "'left'"),
     "split feature out of range": (_set("feature", 0, 2), "'feature' must be below 2"),
+    "left child is the right child": (lambda tree: _set("right", 0, tree["left"][0])(tree),
+                                      "at most once"),
+    "node with two parents": (_share_child, "at most once"),
 }
 
 
