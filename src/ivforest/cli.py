@@ -4,7 +4,8 @@ Every file-producing run writes a ``<output>.manifest.json`` (or
 ``manifest.json`` in the bench output directory) recording the resolved
 flags, seeds, and package version, and contains no timestamps, so reruns
 with identical flags produce byte-identical artifacts. Exit codes: 0
-success, 2 usage/config error, 3 data error, 4 numeric failure.
+success, 2 usage/config error (an unwritable output path included), 3 data
+error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ _DATA_ERRORS = (
     errors.DimensionError,
     errors.DegenerateTruthError,
 )
-_CONFIG_ERRORS = (errors.ConfigError, errors.UnknownSettingError)
+# OSError: an output path that cannot be written, such as one under a file
+_CONFIG_ERRORS = (errors.ConfigError, errors.UnknownSettingError, OSError)
 _NUMERIC_ERRORS = (errors.NumericError, errors.UnderdeterminedError, errors.OOBUnavailableError)
 
 

@@ -115,79 +115,52 @@ class ExperimentSpec:
 
 
 @dataclass(frozen=True)
-class CellRow:
+class CellRecord:
+    """One model's scores and wall time on one (setting, n_train, rep) cell."""
+
     setting: int
     n_train: int
     rep: int
     model: str
-    component: str
-    r2: float
-    mse: float
-    mae: float
+    report: EvalReport
     wall_time_s: float
-    incoherent: int
 
 
 @dataclass
 class ExperimentResult:
     spec: ExperimentSpec
-    rows: list[CellRow] = field(default_factory=list)
-
-    def sorted_rows(self) -> list[CellRow]:
-        order = {m: i for i, m in enumerate(MODELS)}
-        return sorted(
-            self.rows,
-            key=lambda r: (r.setting, r.n_train, r.rep, order[r.model], r.component),
-        )
+    records: list[CellRecord] = field(default_factory=list)  # sorted by run_experiment
 
     def mean_cells(self) -> dict:
-        """Mean r2/mse/mae per (setting, n_train, model, component)."""
-        sums: dict[tuple, list[float]] = {}
-        for r in self.sorted_rows():
-            key = (r.setting, r.n_train, r.model, r.component)
-            acc = sums.setdefault(key, [0.0, 0.0, 0.0, 0])
-            acc[0] += r.r2
-            acc[1] += r.mse
-            acc[2] += r.mae
-            acc[3] += 1
+        """Mean r2/mse/mae per (setting, n_train, model, component), summed in rep order."""
+        sums: dict[tuple, tuple] = {}
+        for r in self.records:
+            for component in COMPONENTS:
+                s = getattr(r.report, component)
+                key = (r.setting, r.n_train, r.model, component)
+                r2, mse, mae, n = sums.get(key, (0.0, 0.0, 0.0, 0))
+                sums[key] = (r2 + s.r2, mse + s.mse, mae + s.mae, n + 1)
         return {
-            key: {"r2": s[0] / s[3], "mse": s[1] / s[3], "mae": s[2] / s[3]}
-            for key, s in sums.items()
+            key: {"r2": r2 / n, "mse": mse / n, "mae": mae / n}
+            for key, (r2, mse, mae, n) in sums.items()
         }
 
 
-def _run_cell(args: tuple) -> list[CellRow]:
+def _run_cell(args: tuple) -> list[CellRecord]:
     spec, setting, total_n, rep = args
     rep_seed = derive_seed("rep", spec.master_seed, setting, total_n, rep)
     frame = simulate(SimSetting(setting, total_n, rep_seed))
     train, test = split(
         frame, SplitSpec(spec.train_fraction, mode="random", seed=rep_seed)
     )
-    rows: list[CellRow] = []
+    records: list[CellRecord] = []
     for model in spec.models:
         t0 = time.perf_counter()
         fit = fit_model(model, train, rep_seed, spec.kernel, spec.bandwidth, n_trees=spec.n_trees,
                         mtry=spec.mtry, min_node=spec.min_node, max_depth=spec.max_depth)
-        pred = predict_model(fit, test)
-        report = evaluate_frame(pred, test)
-        wall = time.perf_counter() - t0
-        for component in COMPONENTS:
-            scores = getattr(report, component)
-            rows.append(
-                CellRow(
-                    setting,
-                    train.n,
-                    rep,
-                    model,
-                    component,
-                    scores.r2,
-                    scores.mse,
-                    scores.mae,
-                    wall,
-                    report.incoherent_count,
-                )
-            )
-    return rows
+        report = evaluate_frame(predict_model(fit, test), test)
+        records.append(CellRecord(setting, train.n, rep, model, report, time.perf_counter() - t0))
+    return records
 
 
 def resolve_workers(requested: int | None) -> int:
@@ -214,12 +187,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     result = ExperimentResult(spec)
     if workers <= 1 or len(jobs) <= 1:
         for job in jobs:
-            result.rows.extend(_run_cell(job))
+            result.records.extend(_run_cell(job))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rows in pool.map(_run_cell, jobs, chunksize=1):
-                result.rows.extend(rows)
-    result.rows = result.sorted_rows()
+            for records in pool.map(_run_cell, jobs, chunksize=1):
+                result.records.extend(records)
+    order = {m: i for i, m in enumerate(MODELS)}
+    result.records.sort(key=lambda r: (r.setting, r.n_train, r.rep, order[r.model]))
     return result
 
 
@@ -229,22 +203,20 @@ TIMINGS_HEADER = "setting,n_train,rep,model,wall_time_s"
 
 def results_csv(result: ExperimentResult) -> str:
     lines = [RESULTS_HEADER]
-    for r in result.sorted_rows():
-        lines.append(
-            f"{r.setting},{r.n_train},{r.rep},{r.model},{r.component},"
-            f"{r.r2!r},{r.mse!r},{r.mae!r}"
-        )
+    for r in result.records:
+        for component in COMPONENTS:
+            s = getattr(r.report, component)
+            lines.append(
+                f"{r.setting},{r.n_train},{r.rep},{r.model},{component},"
+                f"{s.r2!r},{s.mse!r},{s.mae!r}"
+            )
     return "\n".join(lines) + "\n"
 
 
 def timings_csv(result: ExperimentResult) -> str:
+    """One line per (setting, n_train, rep, model): fit, predict and score time."""
     lines = [TIMINGS_HEADER]
-    seen = set()
-    for r in result.sorted_rows():
-        key = (r.setting, r.n_train, r.rep, r.model)
-        if key in seen:
-            continue
-        seen.add(key)
+    for r in result.records:
         lines.append(f"{r.setting},{r.n_train},{r.rep},{r.model},{r.wall_time_s:.6f}")
     return "\n".join(lines) + "\n"
 

@@ -118,23 +118,18 @@ def predict_kernel_frame(fit: KernelFit, frame: IntervalFrame) -> PredictionSet:
     return predict_kernel_rows(fit, frame.features())
 
 
-def default_grid(train: IntervalFrame, n_points: int = 20) -> np.ndarray:
-    """Log-spaced bandwidth grid spanning [0.05 s, 5 s], s the median pairwise distance."""
-    feats = train.features()
-    d = hyper_distance(feats, feats)
-    upper = np.arange(train.n)[:, None] < np.arange(train.n)  # pairs i < j, row by row
+def default_grid(d: np.ndarray, n_points: int = 20) -> np.ndarray:
+    """Log-spaced bandwidth grid spanning [0.05 s, 5 s], s the median pairwise distance.
+
+    ``d`` is the training rows' square distance matrix; only its strict
+    upper triangle is read.
+    """
+    n = d.shape[0]
+    upper = np.arange(n)[:, None] < np.arange(n)  # pairs i < j, row by row
     s = float(np.median(d[upper]))
     if s <= 0.0:
         s = 1.0  # all rows identical; the scale is arbitrary
     return np.geomspace(0.05 * s, 5.0 * s, n_points)
-
-
-def _loo_distance_matrix(train: IntervalFrame) -> np.ndarray:
-    """Training distance matrix with an infinite diagonal, so no row weighs itself."""
-    feats = train.features()
-    d = hyper_distance(feats, feats)
-    np.fill_diagonal(d, np.inf)
-    return d
 
 
 def _loo_loss(d_loo: np.ndarray, train: IntervalFrame, kernel: str, h: float) -> float:
@@ -144,27 +139,35 @@ def _loo_loss(d_loo: np.ndarray, train: IntervalFrame, kernel: str, h: float) ->
 
 def loo_loss(train: IntervalFrame, kernel: str, h: float) -> float:
     """Leave-one-out sum of squared center and radius residuals."""
-    return _loo_loss(_loo_distance_matrix(train), train, kernel, h)
+    feats = train.features()
+    d = hyper_distance(feats, feats)
+    np.fill_diagonal(d, np.inf)  # no row weighs itself
+    return _loo_loss(d, train, kernel, h)
 
 
 def select_bandwidth(
     train: IntervalFrame, kernel: str = "gaussian", grid: np.ndarray | None = None
 ) -> float:
-    """Grid value minimizing the LOO loss; ties broken toward larger h."""
+    """Grid value minimizing the LOO loss; ties broken toward larger h.
+
+    One training distance matrix serves the default grid and every grid point.
+    """
     if train.n < 3:
         raise EmptySampleError(f"bandwidth selection needs n >= 3, got {train.n}")
+    feats = train.features()
+    d = hyper_distance(feats, feats)
     if grid is None:
-        grid = default_grid(train)
+        grid = default_grid(d)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ConfigError("bandwidth grid is empty")
     if np.any(grid <= 0.0):
         raise ConfigError("bandwidth grid values must be positive")
-    d_loo = _loo_distance_matrix(train)
+    np.fill_diagonal(d, np.inf)  # after the grid: no row weighs itself
     best_h = None
     best_loss = np.inf
     for h in sorted(grid):
-        loss = _loo_loss(d_loo, train, kernel, float(h))
+        loss = _loo_loss(d, train, kernel, float(h))
         if loss <= best_loss:  # <= so later (larger) h wins ties
             best_loss = loss
             best_h = float(h)

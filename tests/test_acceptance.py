@@ -121,7 +121,7 @@ def test_criterion_4_setting5_nonparametric_center():
     rf = cells[(5, 200, "rf", "center")]["r2"]
     ke = cells[(5, 200, "ke", "center")]["r2"]
     ccrm = cells[(5, 200, "ccrm", "center")]["r2"]
-    r2 = {(r.model, r.rep): r.r2 for r in result.rows if r.component == "center"}
+    r2 = {(r.model, r.rep): r.report.center.r2 for r in result.records}
     rf_wins = sum(r2[("rf", rep)] > r2[("ke", rep)] for rep in range(reps))
     ok = rf >= 0.90 and ke >= 0.85 and abs(ke - 0.9010) <= 0.07 and rf - ccrm >= 0.15
     report(
@@ -180,14 +180,14 @@ def test_criterion_6_coherence_sweep():
                 coherent_test[cell] = bool(np.all(test.x_radius >= 0.0))
 
     violations, reported = {}, {}
-    for row in result.rows:
-        if row.component != "radius" or row.incoherent == 0:
+    for rec in result.records:
+        if rec.report.incoherent_count == 0:
             continue
-        cell = (row.setting, row.n_train, row.rep)
-        promised = coherent_test[cell] if row.model == "ccrm" else coherent_train[cell]
+        cell = (rec.setting, rec.n_train, rec.rep)
+        promised = coherent_test[cell] if rec.model == "ccrm" else coherent_train[cell]
         counts = violations if promised else reported
-        key = (row.setting, row.model)
-        counts[key] = counts.get(key, 0) + row.incoherent
+        key = (rec.setting, rec.model)
+        counts[key] = counts.get(key, 0) + rec.report.incoherent_count
     n_train_ok = sum(coherent_train.values())
     n_test_ok = sum(coherent_test.values())
 

@@ -132,6 +132,24 @@ def evaluate_argv(tmp_path, rows):
     return ["evaluate", "--pred", str(pred), "--truth", str(truth)]
 
 
+def unwritable_out(command, under_file):
+    """Builder of ``command`` argv with valid inputs and an ``--out`` under
+    ``afile``, which is a file or, if not ``under_file``, missing."""
+    def build(tmp_path):
+        train = simulate_csv(tmp_path, n=40, name="train.csv")
+        model = tmp_path / "m.json"
+        assert run("fit", "--model", "ccrm", "--in", str(train), "--out", str(model)) == 0
+        if under_file:
+            (tmp_path / "afile").write_text("", encoding="utf-8")
+        return {
+            "simulate": ["simulate", "--setting", "1", "--n", "10"],
+            "fit": ["fit", "--model", "ccrm", "--in", str(train)],
+            "predict": ["predict", "--model-file", str(model), "--in", str(train)],
+            "plot": ["plot", "--kind", "rectangles", "--in", str(train)],
+        }[command] + ["--out", str(tmp_path / "afile" / "out.csv")]
+    return build
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # case -> (argv builder, extra environment, exit code, text the error must name)
@@ -156,6 +174,12 @@ FAULTS = {
     "evaluate a non-numeric cell": (lambda t: evaluate_argv(t, "0,1,0\n0,x,0\n0,1,0\n"), {}, 3,
                                     "row 2"),
     "evaluate a one-cell row": (lambda t: evaluate_argv(t, "0,1,0\n0\n0,1,0\n"), {}, 3, "row 2"),
+    **{
+        f"{command} --out under {parent}": (unwritable_out(command, parent == "a file"), {}, 2,
+                                            "afile")
+        for command in ("simulate", "fit", "predict", "plot")
+        for parent in ("a file", "a missing directory")
+    },
 }
 
 
@@ -188,6 +212,18 @@ class TestBenchCommand:
             assert (out / name).exists()
         header = (out / "results.csv").read_text().splitlines()[0]
         assert header == "setting,n_train,rep,model,component,r2,mse,mae"
+
+    def test_timings_one_line_per_model_per_cell(self, tmp_path):
+        out = self.bench(tmp_path, "timed", settings="1,5")
+        results = (out / "results.csv").read_text().splitlines()[1:]
+        keys = [line.split(",")[:4] for line in results]
+        assert keys[0::2] == keys[1::2]  # a center and a radius line per (cell, model)
+        timings = (out / "timings.csv").read_text().splitlines()
+        assert timings[0] == "setting,n_train,rep,model,wall_time_s"
+        rows = [line.split(",") for line in timings[1:]]
+        assert [row[:4] for row in rows] == keys[0::2]
+        assert len(rows) == 2 * 2 * 2  # settings x reps x models
+        assert all(float(row[4]) > 0.0 for row in rows)
 
     def test_reruns_byte_identical_across_worker_counts(self, tmp_path):
         a = self.bench(tmp_path, "run_a", workers=1)

@@ -117,18 +117,21 @@ class TestExperiment:
 
     def test_train_sizes_derived_from_totals(self):
         res = run_experiment(self.small_spec(total_sizes=(500,), reps=1, models=("ccrm",)))
-        assert {r.n_train for r in res.rows} == {50}
-        assert {r.component for r in res.rows} == {"center", "radius"}
+        assert [(r.n_train, r.rep, r.model) for r in res.records] == [(50, 0, "ccrm")]
+
+    def test_records_sorted_by_cell_then_model_order(self):
+        res = run_experiment(self.small_spec(total_sizes=(200, 120), models=("rf", "ccrm")))
+        keys = [(r.setting, r.n_train, r.rep, r.model) for r in res.records]
+        assert keys == [(1, n, rep, m) for n in (12, 20) for rep in (0, 1) for m in ("ccrm", "rf")]
 
     def test_mean_cells_match_naive_recomputation(self):
         res = run_experiment(self.small_spec(reps=3))
         cells = res.mean_cells()
         for (setting, n_train, model, component), stats in cells.items():
             vals = [
-                r.r2
-                for r in res.rows
-                if (r.setting, r.n_train, r.model, r.component)
-                == (setting, n_train, model, component)
+                getattr(r.report, component).r2
+                for r in res.records
+                if (r.setting, r.n_train, r.model) == (setting, n_train, model)
             ]
             assert math.isclose(stats["r2"], sum(vals) / len(vals), rel_tol=1e-12)
 

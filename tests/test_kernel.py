@@ -40,6 +40,12 @@ def hand_weighted_average(dists, values, h, kernel="gaussian"):
     return num / den
 
 
+def train_grid(train, n_points=20):
+    """:func:`default_grid` over the training rows' own distance matrix."""
+    feats = train.features()
+    return default_grid(hyper_distance(feats, feats), n_points)
+
+
 class TestPredict:
     def test_equidistant_pair_averages(self):
         # two training rows symmetric around the query: prediction [0, 4]
@@ -201,10 +207,34 @@ class TestBandwidth:
             rng.normal(size=(20, 1)), np.abs(rng.normal(size=(20, 1))),
             rng.normal(size=20), np.abs(rng.normal(size=20)),
         )
-        grid = default_grid(train)
+        grid = train_grid(train)
         assert len(grid) == 20
         assert grid[0] < grid[-1]
         assert math.isclose(grid[-1] / grid[0], 100.0, rel_tol=1e-9)
+
+    def test_default_grid_reads_strict_upper_triangle(self):
+        rng = np.random.default_rng(6)
+        feats = rng.normal(size=(15, 4))
+        d = hyper_distance(feats, feats)
+        marked = d.copy()
+        np.fill_diagonal(marked, np.inf)
+        marked[np.tril_indices(15, -1)] = -1.0
+        np.testing.assert_array_equal(default_grid(marked), default_grid(d))
+
+    def test_search_builds_one_distance_matrix(self, monkeypatch):
+        import ivforest.kernel as kernel_module
+
+        shapes = []
+
+        def recorded(a, b):
+            shapes.append((a.shape, b.shape))
+            return hyper_distance(a, b)
+
+        monkeypatch.setattr(kernel_module, "hyper_distance", recorded)
+        train = simulate(SimSetting(5, 60, 3))
+        h = select_bandwidth(train, "gaussian")
+        assert shapes == [((60, 2), (60, 2))]
+        assert h in train_grid(train)
 
     def test_selected_h_close_to_finer_grid_quality(self):
         """LOO choice on the default grid compares to a grid twice as fine."""
@@ -212,8 +242,8 @@ class TestBandwidth:
 
         frame = simulate(SimSetting(5, 250, 21))
         train, test = split(frame, SplitSpec(0.8, "random", seed=2))
-        coarse = select_bandwidth(train, "gaussian", default_grid(train, 20))
-        fine = select_bandwidth(train, "gaussian", default_grid(train, 40))
+        coarse = select_bandwidth(train, "gaussian", train_grid(train, 20))
+        fine = select_bandwidth(train, "gaussian", train_grid(train, 40))
         r2 = {}
         for tag, h in (("coarse", coarse), ("fine", fine)):
             pred = predict_kernel_frame(fit_kernel(train, h=h), test)
@@ -248,7 +278,7 @@ class TestPriceScale:
         assert np.max(np.abs(got - want)) <= 1e-9 * scale
         picks = []
         for train in (far_train, near_train):
-            grid = default_grid(train)
+            grid = train_grid(train)
             picks.append(int(np.flatnonzero(grid == select_bandwidth(train, "gaussian"))[0]))
         assert picks[0] == picks[1]
 
