@@ -34,8 +34,8 @@ from .evaluate import (
 )
 from .frame import load_csv, load_feature_csv, write_csv
 from .kernel import KERNELS
-from .models import (MODELS, fit_model, fit_settings, model_from_json, model_to_json,
-                     predict_features)
+from .models import (MODELS, fit_model, fit_settings, model_from_json, model_names,
+                     model_to_json, predict_features)
 from .plots import pred_scatter_svg, rectangles_svg
 from .simulate import GAMMA_PARAMETERIZATION, SimSetting, simulate
 
@@ -219,6 +219,8 @@ def cmd_bench(settings, sizes, reps, models, seed, train_fraction, trees, mtry, 
         frame = load_csv(real_path, response=response)
         if reps < 1:
             raise errors.ConfigError(f"reps must be >= 1, got {reps}")
+        model_names(model_list)
+        out.mkdir(parents=True, exist_ok=True)  # before the fits, so a bad --out-dir fails fast
         fraction = 0.8 if train_fraction is None else train_fraction
         reports, predictions = run_real_data(
             frame,
@@ -233,7 +235,6 @@ def cmd_bench(settings, sizes, reps, models, seed, train_fraction, trees, mtry, 
             kernel=kernel,
             bandwidth=bandwidth,
         )
-        out.mkdir(parents=True, exist_ok=True)
         (out / "summary.csv").write_text(real_summary_csv(reports), encoding="utf-8")
         for m, pred in predictions.items():
             (out / f"predictions_{m}.csv").write_text(predictions_csv(pred), encoding="utf-8")

@@ -96,7 +96,6 @@ class ExperimentSpec:
     n_trees: int = 500
     mtry: int | None = None
     min_node: int = 5
-    max_depth: int | None = None
     kernel: str = "gaussian"
     bandwidth: float | None = None
     workers: int | None = None
@@ -157,7 +156,7 @@ def _run_cell(args: tuple) -> list[CellRecord]:
     for model in spec.models:
         t0 = time.perf_counter()
         fit = fit_model(model, train, rep_seed, spec.kernel, spec.bandwidth, n_trees=spec.n_trees,
-                        mtry=spec.mtry, min_node=spec.min_node, max_depth=spec.max_depth)
+                        mtry=spec.mtry, min_node=spec.min_node)
         report = evaluate_frame(predict_model(fit, test), test)
         records.append(CellRecord(setting, train.n, rep, model, report, time.perf_counter() - t0))
     return records
@@ -273,23 +272,24 @@ def read_predictions_csv(path) -> PredictionSet:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != PREDICTIONS_HEADER.split(","):
             raise ConfigError(f"{path}: expected header {PREDICTIONS_HEADER!r}")
-        lo, hi, flags = [], [], []
+        bounds, flags = [], []
         for lineno, raw in enumerate(reader, start=1):
             if not raw or all(not cell.strip() for cell in raw):
                 continue
             if len(raw) != 3:
                 raise ParseError(f"{path}: row {lineno} has {len(raw)} cells, expected 3")
             try:
-                lo.append(float(raw[0]))
-                hi.append(float(raw[1]))
-                flags.append(bool(int(raw[2])))
+                lo_hi, flag = (float(raw[0]), float(raw[1])), int(raw[2])
             except ValueError as exc:
                 raise ParseError(f"{path}: row {lineno}: {exc}") from None
-    lo_arr = np.asarray(lo)
-    hi_arr = np.asarray(hi)
-    return PredictionSet(
-        0.5 * (lo_arr + hi_arr), 0.5 * (hi_arr - lo_arr), np.asarray(flags, dtype=bool)
-    )
+            if not np.all(np.isfinite(lo_hi)):
+                raise ParseError(f"{path}: row {lineno}: bounds must be finite, got {raw[:2]}")
+            if flag not in (0, 1):
+                raise ParseError(f"{path}: row {lineno}: 'incoherent' must be 0 or 1, got {flag}")
+            bounds.append(lo_hi)
+            flags.append(flag == 1)
+    lo, hi = np.asarray(bounds, dtype=float).reshape(-1, 2).T
+    return PredictionSet(0.5 * (lo + hi), 0.5 * (hi - lo), np.asarray(flags, dtype=bool))
 
 
 def run_real_data(

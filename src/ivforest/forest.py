@@ -18,7 +18,7 @@ on how many trees the forest has.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -63,19 +63,33 @@ class ForestParams:
 
 @dataclass
 class Tree:
-    """Flattened binary regression tree plus its bootstrap row indices."""
+    """Flattened binary regression tree plus its bootstrap row indices.
+
+    Nodes are numbered level by level, and a split node's right child
+    directly follows its left, so only ``left`` is stored.
+    """
 
     feature: np.ndarray  # int, -1 marks a leaf
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray  # leaf mean (0 for internal nodes)
     count: np.ndarray  # rows reaching the node in the bootstrap sample
     bootstrap: np.ndarray  # indices into the training frame, with repetition
 
     @property
+    def right(self) -> np.ndarray:
+        """``left + 1`` at split nodes, -1 at leaves."""
+        return np.where(self.feature >= 0, self.left + 1, -1)
+
+    @property
     def n_leaves(self) -> int:
         return int(np.sum(self.feature < 0))
+
+
+# A tree's arrays in a model file, each with the dtype it is read as. Files
+# carry "right" for readers that route with it; a Tree derives it.
+_TREE_ARRAYS = {"feature": np.int64, "threshold": float, "left": np.int64, "right": np.int64,
+                "value": float, "count": np.int64, "bootstrap": np.int64}
 
 
 def _best_splits(
@@ -187,7 +201,7 @@ def grow_trees(
     open node without a valid split becomes a leaf, as does every node that
     is not open. Leaf values are bootstrap means. Nodes are numbered level
     by level, so children always come after their parent, and a split
-    node's right child directly follows its left (``right == left + 1``).
+    node's right child directly follows its left.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -240,10 +254,9 @@ def grow_trees(
         left[split] = (
             n_nodes[split_tree] + 2 * (np.arange(split.size) - np.searchsorted(split_tree, split_tree))
         )
-        right = np.where(left >= 0, left + 1, -1)
         n_nodes += 2 * np.bincount(split_tree, minlength=n_trees)
-        levels.append((level_tree, feature, threshold, left, right,
-                       np.where(feature >= 0, 0.0, value), count))
+        levels.append((level_tree, feature, threshold, left, np.where(feature >= 0, 0.0, value),
+                       count))
 
         # each sample moves to its child's index at the next level, 2q or 2q + 1 for split q
         child = np.full(k, -1, dtype=np.int64)
@@ -294,8 +307,8 @@ class ForestFit:
     feature_names: tuple[str, ...]
     predictor_names: tuple[str, ...]
     params: ForestParams
-    center_trees: list[Tree] = field(default_factory=list)
-    radius_trees: list[Tree] = field(default_factory=list)
+    center_trees: list[Tree]
+    radius_trees: list[Tree]
     oob: dict = field(default_factory=dict)
 
 
@@ -309,8 +322,7 @@ def fit_forest(train: IntervalFrame, params: ForestParams | None = None) -> Fore
     n = train.n
     params.resolved_mtry(X.shape[1])  # validate early
 
-    fit = ForestFit(train.feature_names(), train.predictor_names, params)
-    for component, y in (("center", train.y_center), ("radius", train.y_radius)):
+    def ensemble(component: str, y: np.ndarray) -> list[Tree]:
         trees = []
         per_chunk = max(1, _CHUNK_SAMPLES // n)
         for start in range(0, params.n_trees, per_chunk):
@@ -320,10 +332,10 @@ def fit_forest(train: IntervalFrame, params: ForestParams | None = None) -> Fore
             ]
             boots = [rng.integers(0, n, n) for rng in rngs]  # each tree's bootstrap comes first
             trees += grow_trees(X, y, boots, rngs, params)
-        if component == "center":
-            fit.center_trees = trees
-        else:
-            fit.radius_trees = trees
+        return trees
+
+    fit = ForestFit(train.feature_names(), train.predictor_names, params,
+                    ensemble("center", train.y_center), ensemble("radius", train.y_radius))
     fit.oob = oob_error(fit, train)
     return fit
 
@@ -335,10 +347,9 @@ def _tree_sums(
 
     With ``out_of_bag``, ``X`` holds the training rows and a tree counts only rows outside its
     bootstrap. Blocks of about ``_CHUNK_SAMPLES`` (tree, row) pairs walk their concatenated
-    node arrays. A pair steps from split node ``i`` to ``left[i] + (x > threshold[i])``, so
-    every split node's right child must directly follow its left, as ``grow_trees`` numbers
-    them and ``forest_from_doc`` renumbers older files; other trees raise ValueError. Each block
-    is added one tree at a time, in the order of a per-tree loop.
+    node arrays. A pair steps from split node ``i`` to ``left[i] + (x > threshold[i])``, its
+    right child when ``x > threshold[i]``. Each block is added one tree at a time, in the order
+    of a per-tree loop.
     """
     n = X.shape[0]
     Xt = X.T.ravel()  # X[r, f] is Xt[f * n + r]
@@ -347,9 +358,6 @@ def _tree_sums(
     per_block = max(1, _CHUNK_SAMPLES // max(1, n))
     for start in range(0, len(trees), per_block):
         block = trees[start : start + per_block]
-        if not _siblings_adjacent(block):
-            raise ValueError(f"trees {start}..{start + len(block) - 1}: a split node's "
-                             "right child must directly follow its left")
         sizes = [t.feature.size for t in block]
         roots = np.cumsum(sizes) - sizes
         feature, threshold, left, value = (
@@ -376,15 +384,6 @@ def _tree_sums(
             np.add(total, leaf, out=total, where=mask)
             counts += mask
     return total, counts
-
-
-def _siblings_adjacent(trees: list[Tree]) -> bool:
-    """Whether every split node of these trees has ``right == left + 1``."""
-    feature, left, right = (
-        np.concatenate([getattr(t, key) for t in trees]) for key in ("feature", "left", "right")
-    )
-    split = feature >= 0
-    return bool(np.all(right[split] == left[split] + 1))
 
 
 def predict_forest_rows(fit: ForestFit, queries: np.ndarray) -> PredictionSet:
@@ -439,28 +438,14 @@ def oob_error(fit: ForestFit, train: IntervalFrame) -> dict:
 
 def forest_to_json(fit: ForestFit) -> str:
     def tree_doc(tree: Tree) -> dict:
-        return {
-            "feature": tree.feature.tolist(),
-            "threshold": tree.threshold.tolist(),
-            "left": tree.left.tolist(),
-            "right": tree.right.tolist(),
-            "value": tree.value.tolist(),
-            "count": tree.count.tolist(),
-            "bootstrap": tree.bootstrap.tolist(),
-        }
+        return {key: getattr(tree, key).tolist() for key in _TREE_ARRAYS}
 
     doc = {
         "format_version": 1,
         "model": "rf",
         "feature_names": list(fit.feature_names),
         "predictors": list(fit.predictor_names),
-        "params": {
-            "n_trees": fit.params.n_trees,
-            "mtry": fit.params.mtry,
-            "min_node": fit.params.min_node,
-            "max_depth": fit.params.max_depth,
-            "seed": fit.params.seed,
-        },
+        "params": asdict(fit.params),
         "oob": fit.oob,
         "center_trees": [tree_doc(t) for t in fit.center_trees],
         "radius_trees": [tree_doc(t) for t in fit.radius_trees],
@@ -482,19 +467,12 @@ def forest_from_doc(doc: dict) -> ForestFit:
     def trees_from(key: str) -> list[Tree]:
         trees = []
         for i, tdoc in enumerate(doc[key]):
-            tree = Tree(
-                np.asarray(tdoc["feature"], dtype=np.int64),
-                np.asarray(tdoc["threshold"], dtype=float),
-                np.asarray(tdoc["left"], dtype=np.int64),
-                np.asarray(tdoc["right"], dtype=np.int64),
-                np.asarray(tdoc["value"], dtype=float),
-                np.asarray(tdoc["count"], dtype=np.int64),
-                np.asarray(tdoc.get("bootstrap", []), dtype=np.int64),
-            )
-            problem = _tree_problem(tree, len(feature_names))
+            tdoc = {"bootstrap": [], **tdoc}  # files may omit the bootstrap
+            arrays = {k: np.asarray(tdoc[k], dtype=dtype) for k, dtype in _TREE_ARRAYS.items()}
+            problem = _tree_problem(arrays, len(feature_names))
             if problem:
                 raise ConfigError(f"{key}[{i}]: {problem}")
-            trees.append(tree if _siblings_adjacent([tree]) else _level_order(tree))
+            trees.append(_level_order(arrays))
         if not trees:
             raise ConfigError(f"{key!r} holds no tree")
         return trees
@@ -509,49 +487,52 @@ def forest_from_doc(doc: dict) -> ForestFit:
     )
 
 
-def _tree_problem(tree: Tree, n_features: int) -> str | None:
-    """Why this tree could not be renumbered and walked, or None.
+def _tree_problem(arrays: dict, n_features: int) -> str | None:
+    """Why a model file's tree arrays could not be numbered and walked, or None.
 
     Every split node's children must come after it (``grow_trees`` numbers
     them so), which rules out cycles, and no node may be the child of two
     split nodes, or both children of one; indices and features must be in
     range.
     """
-    n = tree.feature.size
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.count)
-    if n == 0 or any(a.shape != (n,) for a in arrays):
+    feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
+    n = feature.size
+    if n == 0 or any(a.shape != (n,) for k, a in arrays.items() if k != "bootstrap"):
         return "node arrays must be nonempty lists of equal length"
-    split = np.nonzero(tree.feature >= 0)[0]
-    for key in ("left", "right"):
-        child = getattr(tree, key)[split]
+    split = np.nonzero(feature >= 0)[0]
+    for key, child in (("left", left[split]), ("right", right[split])):
         if np.any(child <= split) or np.any(child >= n):
             return f"'{key}' must point every split node to a later node in range"
-    children = np.concatenate([tree.left[split], tree.right[split]])
+    children = np.concatenate([left[split], right[split]])
     if np.unique(children).size < children.size:
         return "'left' and 'right' must name each node at most once"
-    if np.any(tree.feature >= n_features):
+    if np.any(feature >= n_features):
         return f"'feature' must be below {n_features}"
     return None
 
 
-def _level_order(tree: Tree) -> Tree:
-    """The same tree numbered level by level, each split node's children adjacent.
+def _level_order(arrays: dict) -> Tree:
+    """The Tree of a model file's arrays, which must pass ``_tree_problem``.
 
-    This is the numbering ``grow_trees`` gives; model files written before
-    level-wise growth number nodes depth first. Nodes the root does not
-    reach are dropped. ``tree`` must pass ``_tree_problem``.
+    A tree whose split nodes each have ``right == left + 1`` is kept as it
+    is. Files written before level-wise growth number nodes depth first;
+    such a tree is renumbered level by level, as ``grow_trees`` numbers
+    nodes, and nodes the root does not reach are dropped.
     """
+    feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
+    split = feature >= 0
+    if np.all(right[split] == left[split] + 1):
+        return Tree(feature, arrays["threshold"], left, arrays["value"], arrays["count"],
+                    arrays["bootstrap"])
     levels = [np.zeros(1, dtype=np.int64)]
     while levels[-1].size:
-        split = levels[-1][tree.feature[levels[-1]] >= 0]
-        levels.append(np.column_stack([tree.left[split], tree.right[split]]).ravel())
+        inner = levels[-1][feature[levels[-1]] >= 0]
+        levels.append(np.column_stack([left[inner], right[inner]]).ravel())
     order = np.concatenate(levels)
-    new_id = np.empty(tree.feature.size, dtype=np.int64)
+    new_id = np.empty(feature.size, dtype=np.int64)
     new_id[order] = np.arange(order.size)
-    feature = tree.feature[order]
-    split = feature >= 0
-    left = np.full(order.size, -1, dtype=np.int64)
-    left[split] = new_id[tree.left[order[split]]]
-    right = np.where(split, left + 1, -1)
-    return Tree(feature, tree.threshold[order], left, right, tree.value[order],
-                tree.count[order], tree.bootstrap)
+    split = split[order]
+    new_left = np.full(order.size, -1, dtype=np.int64)
+    new_left[split] = new_id[left[order[split]]]
+    return Tree(feature[order], arrays["threshold"][order], new_left, arrays["value"][order],
+                arrays["count"][order], arrays["bootstrap"])

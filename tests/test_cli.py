@@ -174,6 +174,9 @@ FAULTS = {
     "evaluate a non-numeric cell": (lambda t: evaluate_argv(t, "0,1,0\n0,x,0\n0,1,0\n"), {}, 3,
                                     "row 2"),
     "evaluate a one-cell row": (lambda t: evaluate_argv(t, "0,1,0\n0\n0,1,0\n"), {}, 3, "row 2"),
+    "evaluate a nan bound": (lambda t: evaluate_argv(t, "0,1,0\nnan,1.0,0\n0,1,0\n"), {}, 3,
+                             "row 2"),
+    "evaluate a flag of 7": (lambda t: evaluate_argv(t, "0,1,0\n0,1,7\n0,1,0\n"), {}, 3, "row 2"),
     **{
         f"{command} --out under {parent}": (unwritable_out(command, parent == "a file"), {}, 2,
                                             "afile")
@@ -283,6 +286,16 @@ class TestBenchCommand:
         assert len(summary) == 7  # header + 2 components x 3 metrics
         preds = (out / "predictions_rf.csv").read_text().splitlines()
         assert len(preds) == 1 + (60 - 48)
+
+    def test_real_mode_checks_out_dir_before_fitting(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_real_data called")
+
+        monkeypatch.setattr("ivforest.cli.run_real_data", fail)
+        data = simulate_csv(tmp_path, setting=5, n=60)
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        assert run("bench", "--real", str(data), "--models", "ccrm,rf", "--trees", "2",
+                   "--out-dir", str(tmp_path / "afile" / "sub")) == 2
 
 
 class TestPlotCommand:

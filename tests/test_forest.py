@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from ivforest.errors import DimensionError, OOBUnavailableError, Underdetermined
 from ivforest.evaluate import evaluate_frame
 from ivforest.forest import (
     _CHUNK_SAMPLES,
+    _TREE_ARRAYS,
     ForestParams,
-    Tree,
     _tree_problem,
     _tree_sums,
     best_split,
@@ -217,7 +218,7 @@ class TestLevelWiseBuilder:
         for trees, y in ((fit.center_trees, frame.y_center), (fit.radius_trees, frame.y_radius)):
             scale = float(np.max(np.abs(y)))
             for tree in trees:
-                assert _tree_problem(tree, m) is None
+                assert _tree_problem({k: getattr(tree, k) for k in _TREE_ARRAYS}, m) is None
                 stack = [(0, tree.bootstrap)]
                 while stack:
                     node, rows = stack.pop()
@@ -437,19 +438,23 @@ def route(tree, X):
 
 
 def preorder(tree):
-    """The same tree with its nodes numbered depth first, left subtree first."""
+    """The tree's model-file arrays with its nodes numbered depth first, left subtree first."""
+    right = tree.right
     order, stack = [], [0]
     while stack:
         node = stack.pop()
         order.append(node)
         if tree.feature[node] >= 0:
-            stack += [tree.right[node], tree.left[node]]
+            stack += [right[node], tree.left[node]]
     order = np.array(order)
     new_id = np.empty_like(order)
     new_id[order] = np.arange(order.size)
-    left, right = (np.where(c[order] >= 0, new_id[c[order]], -1) for c in (tree.left, tree.right))
-    return Tree(tree.feature[order], tree.threshold[order], left, right, tree.value[order],
-                tree.count[order], tree.bootstrap)
+    doc = {key: getattr(tree, key)[order].tolist()
+           for key in ("feature", "threshold", "value", "count")}
+    for key, child in (("left", tree.left[order]), ("right", right[order])):
+        doc[key] = np.where(child >= 0, new_id[child], -1).tolist()
+    doc["bootstrap"] = tree.bootstrap.tolist()
+    return doc
 
 
 class TestTraversal:
@@ -457,11 +462,13 @@ class TestTraversal:
         """Model files written before level-wise growth number nodes in preorder."""
         frame = simulate(SimSetting(7, 200, 3))
         fit = fit_forest(frame, ForestParams(n_trees=10, seed=4))
-        old = dataclasses.replace(fit, center_trees=[preorder(t) for t in fit.center_trees],
-                                  radius_trees=[preorder(t) for t in fit.radius_trees])
-        assert any(np.any(t.right[t.feature >= 0] != t.left[t.feature >= 0] + 1)
-                   for t in old.center_trees)
-        again = forest_from_json(forest_to_json(old))
+        doc = json.loads(forest_to_json(fit))
+        for key in ("center_trees", "radius_trees"):
+            doc[key] = [preorder(t) for t in getattr(fit, key)]
+        feature, left, right = (np.concatenate([t[k] for t in doc["center_trees"]])
+                                for k in ("feature", "left", "right"))
+        assert np.any(right[feature >= 0] != left[feature >= 0] + 1)
+        again = forest_from_json(json.dumps(doc))
         for a, b in zip(fit.center_trees + fit.radius_trees,
                         again.center_trees + again.radius_trees):
             split = b.feature >= 0
@@ -473,12 +480,6 @@ class TestTraversal:
         assert a.center.tobytes() == b.center.tobytes()
         assert a.radius.tobytes() == b.radius.tobytes()
         assert oob_error(again, frame) == fit.oob
-
-    def test_preorder_tree_is_not_walked(self):
-        fit = fit_forest(simulate(SimSetting(7, 200, 3)), ForestParams(n_trees=3, seed=4))
-        trees = [preorder(t) for t in fit.center_trees]
-        with pytest.raises(ValueError, match="right child must directly follow its left"):
-            _tree_sums(trees, simulate(SimSetting(7, 20, 5)).features())
 
     @pytest.mark.parametrize("n_rows, per_block", [(16_385, 1), (4096, 4), (5000, 3)])
     def test_matches_per_tree_router(self, n_rows, per_block):
