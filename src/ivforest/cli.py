@@ -263,7 +263,7 @@ def cmd_bench(settings, sizes, reps, models, seed, train_fraction, trees, mtry, 
         min_node=min_node,
         kernel=kernel,
         bandwidth=bandwidth,
-        workers=workers,
+        workers=resolve_workers(workers),  # before the out-dir is made
     )
     out.mkdir(parents=True, exist_ok=True)  # before the run, so a bad --out-dir fails fast
     result = run_experiment(spec)
@@ -278,7 +278,7 @@ def cmd_bench(settings, sizes, reps, models, seed, train_fraction, trees, mtry, 
             "reps": spec.reps, "models": list(spec.models), "master_seed": spec.master_seed,
             "train_fraction": spec.train_fraction, "trees": spec.n_trees, "mtry": spec.mtry,
             "min_node": spec.min_node, "kernel": spec.kernel, "bandwidth": spec.bandwidth,
-            "workers_resolved": resolve_workers(spec.workers),
+            "workers_resolved": spec.workers,
             "seed_derivation": "sha256('rep'/master/setting/total_n/rep)",
             "gamma_parameterization": GAMMA_PARAMETERIZATION,
         },

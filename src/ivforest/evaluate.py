@@ -163,15 +163,20 @@ def _run_cell(args: tuple) -> list[CellRecord]:
 
 
 def resolve_workers(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("IVF_THREADS")
-    if env:
+    """``requested``, else ``IVF_THREADS``, else the CPU count; a count below 1 is a ConfigError."""
+    source = "workers"
+    if requested is None:
+        env = os.environ.get("IVF_THREADS")
+        if not env:
+            return os.cpu_count() or 1
+        source = "IVF_THREADS"
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError:
             raise ConfigError(f"IVF_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if requested < 1:
+        raise ConfigError(f"{source} must be >= 1, got {requested}")
+    return int(requested)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:

@@ -190,18 +190,18 @@ def grow_trees(
 ) -> list[Tree]:
     """Grow one tree per (bootstrap, generator) pair, all of them level by level.
 
-    A sample is a (tree, bootstrap row) pair. For each feature the samples
-    stay sorted by (node, value): after each level a stable sort by child
-    node keeps that order, and samples in new leaves are dropped. A node is
-    open when it holds at least 2 * min_node samples and lies above
-    max_depth. At each level a tree draws the candidate features of all its
-    open nodes in one call, ``rng.random((k, m)).argsort(axis=1)[:, :mtry]``,
-    unless ``mtry == m``, when every feature is a candidate and nothing is
-    drawn. ``_best_splits`` scores every open node of every tree at once. An
-    open node without a valid split becomes a leaf, as does every node that
-    is not open. Leaf values are bootstrap means. Nodes are numbered level
-    by level, so children always come after their parent, and a split
-    node's right child directly follows its left.
+    A sample is a (tree, bootstrap row) pair, and its node at the current
+    level is the only state kept between levels. A node is open when it
+    holds at least 2 * min_node samples and lies above max_depth. At each
+    level a tree draws the candidate features of all its open nodes in one
+    call, ``rng.random((k, m)).argsort(axis=1)[:, :mtry]``, unless
+    ``mtry == m``, when every feature is a candidate and nothing is drawn.
+    The open samples are then sorted for each candidate by (node, rank of
+    the row's feature value), and ``_best_splits`` scores every open node
+    of every tree at once. An open node without a valid split becomes a
+    leaf, as does every node that is not open. Leaf values are bootstrap
+    means. Nodes are numbered level by level, so children always come after
+    their parent, and a split node's right child directly follows its left.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -210,13 +210,13 @@ def grow_trees(
     mtry = params.resolved_mtry(m)
     min_node = params.min_node
     rows = np.concatenate(bootstraps).astype(np.int64)
-    tree_of = np.repeat(np.arange(n_trees), [b.size for b in bootstraps])
     Xs, ys = X[rows], y[rows]
-    rank = np.argsort(np.argsort(X, axis=0, kind="stable"), axis=0, kind="stable")
-    # order[f]: sample ids sorted by (node, feature f); every row has the same node layout
-    order = np.argsort(tree_of * X.shape[0] + rank[rows].T, axis=1, kind="stable")
+    n = X.shape[0]
+    # rank[s, f]: place of sample s's row in feature f; rows that tie in X go by row index
+    rank = np.argsort(np.argsort(X, axis=0, kind="stable"), axis=0, kind="stable")[rows]
 
-    node_of = tree_of.copy()  # each sample's node at the current level, -1 once in a leaf
+    # each sample's node at the current level, -1 once in a leaf
+    node_of = np.repeat(np.arange(n_trees), [b.size for b in bootstraps])
     level_tree = np.arange(n_trees)  # tree of each node at the current level
     n_nodes = np.ones(n_trees, dtype=np.int64)
     levels = []
@@ -233,13 +233,17 @@ def grow_trees(
         if params.max_depth is not None and depth >= params.max_depth:
             is_open[:] = False
         opened = np.flatnonzero(is_open)
-        order = order[:, np.repeat(is_open, count)]
         split = opened[:0]
         if opened.size:
             cand = _draw_candidates(rngs, level_tree[opened], m, mtry)
+            samples = live[is_open[node]]
+            q = (np.cumsum(is_open) - 1)[node_of[samples]]  # each sample's open-node index
+            # keys tie only between bootstrap copies of one row, which agree in
+            # every feature and the response, so an unstable sort gives the same trees
+            key = q * n + rank[samples, cand[q].T]
+            samples = samples[np.argsort(key, axis=1)]
             # each open node's candidates, spread over its samples
             feat = cand[np.repeat(np.arange(opened.size), count[opened])].T
-            samples = order[feat, np.arange(order.shape[1])]
             xs = Xs[samples, feat]
             starts = np.cumsum(count[opened]) - count[opened]
             row, col = _best_splits(xs, ys[samples], starts, min_node)
@@ -263,12 +267,6 @@ def grow_trees(
         child[split] = 2 * np.arange(split.size)
         go_right = Xs[live, feature[node]] > threshold[node]
         node_of[live] = np.where(child[node] >= 0, child[node] + go_right, -1)
-        key = node_of[order]
-        keep = key >= 0
-        order = order[keep].reshape(m, -1)
-        order = np.take_along_axis(
-            order, np.argsort(key[keep].reshape(m, -1), axis=1, kind="stable"), axis=1
-        )
         level_tree = np.repeat(split_tree, 2)
         depth += 1
 
@@ -493,7 +491,7 @@ def _tree_problem(arrays: dict, n_features: int) -> str | None:
     Every split node's children must come after it (``grow_trees`` numbers
     them so), which rules out cycles, and no node may be the child of two
     split nodes, or both children of one; indices and features must be in
-    range.
+    range, and thresholds and values finite.
     """
     feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
     n = feature.size
@@ -508,6 +506,9 @@ def _tree_problem(arrays: dict, n_features: int) -> str | None:
         return "'left' and 'right' must name each node at most once"
     if np.any(feature >= n_features):
         return f"'feature' must be below {n_features}"
+    for key in ("threshold", "value"):
+        if not np.all(np.isfinite(arrays[key])):
+            return f"{key!r} must be finite"
     return None
 
 

@@ -124,8 +124,8 @@ def _pair_columns(header: list[str]) -> list[str]:
     return names
 
 
-def _read_table(path) -> tuple[list[str], list[str], np.ndarray, dict[str, int]]:
-    """Parse a bound-schema CSV into (header, variable names, data, column map)."""
+def _read_table(path) -> tuple[list[str], np.ndarray, dict[str, int]]:
+    """Parse a bound-schema CSV into (variable names, data, column map)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -150,18 +150,25 @@ def _read_table(path) -> tuple[list[str], list[str], np.ndarray, dict[str, int]]
     if not np.all(np.isfinite(data)):
         bad = np.argwhere(~np.isfinite(data))[0]
         raise ParseError(f"{path}: non-finite value at row {bad[0] + 1}, column {header[bad[1]]}")
-    return header, names, data, {c: i for i, c in enumerate(header)}
+    return names, data, {c: i for i, c in enumerate(header)}
 
 
-def _bounds(path, var: str, data: np.ndarray, col_of: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    lo = data[:, col_of[f"{var}_L"]]
-    hi = data[:, col_of[f"{var}_U"]]
-    bad = np.nonzero(lo > hi)[0]
-    if bad.size:
-        raise ParseError(
-            f"{path}: row {bad[0] + 1}, variable {var!r}: lower {lo[bad[0]]} > upper {hi[bad[0]]}"
-        )
-    return lo, hi
+def _centers_radii(path, names, data: np.ndarray, col_of: dict[str, int]):
+    """Centers and radii of the named variables, one column each.
+
+    An inverted bound pair is a ParseError naming the row and variable.
+    """
+    xc, xr = [], []
+    for var in names:
+        lo = data[:, col_of[f"{var}_L"]]
+        hi = data[:, col_of[f"{var}_U"]]
+        bad = np.nonzero(lo > hi)[0]
+        if bad.size:
+            i = bad[0]
+            raise ParseError(f"{path}: row {i + 1}, variable {var!r}: lower {lo[i]} > upper {hi[i]}")
+        xc.append(0.5 * (lo + hi))
+        xr.append(0.5 * (hi - lo))
+    return np.column_stack(xc), np.column_stack(xr)
 
 
 def load_csv(path, response: str | None = None) -> IntervalFrame:
@@ -171,7 +178,7 @@ def load_csv(path, response: str | None = None) -> IntervalFrame:
     Blank lines are ignored; any malformed cell or inverted bound pair is a
     ParseError naming the row and column.
     """
-    _, names, data, col_of = _read_table(path)
+    names, data, col_of = _read_table(path)
     if len(names) < 2:
         raise ParseError(f"{path}: need at least one predictor pair and a response pair")
     resp = response if response is not None else names[-1]
@@ -179,34 +186,18 @@ def load_csv(path, response: str | None = None) -> IntervalFrame:
         raise ParseError(f"{path}: response variable {resp!r} not among columns")
     predictors = [v for v in names if v != resp]
 
-    xc, xr = [], []
-    for var in predictors:
-        lo, hi = _bounds(path, var, data, col_of)
-        xc.append(0.5 * (lo + hi))
-        xr.append(0.5 * (hi - lo))
-    ylo, yhi = _bounds(path, resp, data, col_of)
-    return IntervalFrame(
-        tuple(predictors),
-        np.column_stack(xc),
-        np.column_stack(xr),
-        0.5 * (ylo + yhi),
-        0.5 * (yhi - ylo),
-        resp,
-    )
+    xc, xr = _centers_radii(path, predictors, data, col_of)
+    yc, yr = _centers_radii(path, [resp], data, col_of)  # IntervalFrame ravels the one column
+    return IntervalFrame(tuple(predictors), xc, xr, yc, yr, resp)
 
 
 def load_feature_csv(path, predictor_names) -> tuple[np.ndarray, np.ndarray]:
     """Read only the named predictor pairs; extra variable pairs are ignored."""
-    _, names, data, col_of = _read_table(path)
+    names, data, col_of = _read_table(path)
     missing = [v for v in predictor_names if v not in names]
     if missing:
         raise ParseError(f"{path}: missing predictor pair(s): {', '.join(missing)}")
-    xc, xr = [], []
-    for var in predictor_names:
-        lo, hi = _bounds(path, var, data, col_of)
-        xc.append(0.5 * (lo + hi))
-        xr.append(0.5 * (hi - lo))
-    return np.column_stack(xc), np.column_stack(xr)
+    return _centers_radii(path, predictor_names, data, col_of)
 
 
 def write_csv(frame: IntervalFrame, path) -> None:

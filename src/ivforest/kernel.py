@@ -50,8 +50,8 @@ class KernelFit:
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise ConfigError(f"unknown kernel {self.kernel!r}")
-        if not self.h > 0.0:
-            raise ConfigError(f"bandwidth must be positive, got {self.h}")
+        if not 0.0 < self.h < np.inf:
+            raise ConfigError(f"bandwidth must be positive and finite, got {self.h}")
         if self.x_features.shape[0] < 1:
             raise EmptySampleError("kernel fit needs at least one training row")
 
@@ -198,4 +198,6 @@ def kernel_from_doc(doc: dict) -> KernelFit:
     if not (x.ndim == 2 and x.shape[1] == 2 * len(doc["predictors"])
             and yc.shape == yr.shape == x.shape[:1]):
         raise ConfigError("'training' must hold one row of 2p features and one response per row")
+    if not all(np.all(np.isfinite(a)) for a in (x, yc, yr)):
+        raise ConfigError("'training' must hold finite numbers")
     return KernelFit(tuple(doc["predictors"]), x, yc, yr, float(doc["bandwidth"]), doc["kernel"])

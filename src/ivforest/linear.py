@@ -245,6 +245,8 @@ def linear_from_doc(doc: dict) -> LinearFit:
     first, second = (np.asarray(c, dtype=float) for c in doc["coefficients"])
     if not first.shape == second.shape == (len(doc["predictors"]) + 1,):
         raise ConfigError("'coefficients' must be two lists of one number per predictor, plus one")
+    if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
+        raise ConfigError("'coefficients' must be finite")
     return LinearFit(
         doc["model"],
         tuple(doc["predictors"]),

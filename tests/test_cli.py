@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,6 +79,20 @@ class TestFitPredictEvaluate:
         assert run("fit", "--model", "ccrm", "--in", str(tiny),
                    "--out", str(tmp_path / "m.json")) == 4
 
+    def test_rf_on_constant_response_round_trips(self, tmp_path):
+        """OOB R-squared of a constant response is NaN; the model file still loads."""
+        data = tmp_path / "flat.csv"
+        rows = "".join(f"{i},{i + 1},1,3\n" for i in range(30))
+        data.write_text("x1_L,x1_U,y_L,y_U\n" + rows, encoding="utf-8")
+        model_file = tmp_path / "rf.json"
+        assert run("fit", "--model", "rf", "--in", str(data), "--out", str(model_file),
+                   "--trees", "5") == 0
+        assert math.isnan(json.loads(model_file.read_text())["oob"]["center"]["r2"])
+        preds = tmp_path / "p.csv"
+        assert run("predict", "--model-file", str(model_file), "--in", str(data),
+                   "--out", str(preds)) == 0
+        assert preds.read_text().splitlines()[1] == "1.0,3.0,0"
+
     def test_predict_ignores_extra_columns(self, tmp_path):
         train = simulate_csv(tmp_path, n=50, name="train.csv")
         model_file = tmp_path / "model.json"
@@ -100,6 +115,17 @@ def edited_model(tmp_path, model, edit):
     path.write_text(json.dumps(doc), encoding="utf-8")
     return ["predict", "--model-file", str(path), "--in", str(train),
             "--out", str(tmp_path / "p.csv")]
+
+
+def set_item(*path_and_value):
+    """Edit that sets ``doc[k1]...[kn] = value``."""
+    *keys, last, value = path_and_value
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
 
 
 def cyclic_root(doc):
@@ -162,7 +188,20 @@ FAULTS = {
         "format_version"),
     "rf file with a cyclic tree": (lambda t: edited_model(t, "rf", cyclic_root), {}, 2,
                                    "center_trees[0]"),
+    "rf file with a nan leaf value": (
+        lambda t: edited_model(t, "rf", set_item("center_trees", 0, "value", -1, float("nan"))),
+        {}, 2, "'value'"),
+    "ccrm file with a nan coefficient": (
+        lambda t: edited_model(t, "ccrm", set_item("coefficients", 0, 1, float("nan"))), {}, 2,
+        "'coefficients'"),
+    "ke file with an infinite bandwidth": (
+        lambda t: edited_model(t, "ke", set_item("bandwidth", float("inf"))), {}, 2, "bandwidth"),
+    "ke file with a nan training response": (
+        lambda t: edited_model(t, "ke", set_item("training", "y_center", 0, float("nan"))), {}, 2,
+        "'training'"),
     "fit --trees 0": (lambda t: fit_argv(t, "--trees", "0"), {}, 2, "n_trees"),
+    "fit --bandwidth inf": (lambda t: fit_argv(t, "--model", "ke", "--bandwidth", "inf"), {}, 2,
+                            "bandwidth"),
     "fit --mtry 9 on one predictor": (lambda t: fit_argv(t, "--mtry", "9"), {}, 2, "mtry"),
     "bench --trees 0": (lambda t: bench_argv(t, "--trees", "0"), {}, 2, "n_trees"),
     "fit --bw-auto with --bandwidth": (
@@ -171,6 +210,8 @@ FAULTS = {
     "bench --settings x": (lambda t: bench_argv(t, "--settings", "x"), {}, 2, "'x'"),
     "bench --settings 1,7-5": (lambda t: bench_argv(t, "--settings", "1,7-5"), {}, 2, "'7-5'"),
     "IVF_THREADS=abc": (bench_argv, {"IVF_THREADS": "abc"}, 2, "IVF_THREADS"),
+    "IVF_THREADS=0": (bench_argv, {"IVF_THREADS": "0"}, 2, "IVF_THREADS"),
+    "bench --workers -3": (lambda t: bench_argv(t, "--workers", "-3"), {}, 2, "workers"),
     "evaluate a non-numeric cell": (lambda t: evaluate_argv(t, "0,1,0\n0,x,0\n0,1,0\n"), {}, 3,
                                     "row 2"),
     "evaluate a one-cell row": (lambda t: evaluate_argv(t, "0,1,0\n0\n0,1,0\n"), {}, 3, "row 2"),
@@ -255,6 +296,15 @@ class TestBenchCommand:
     def test_usage_error_leaves_no_out_dir(self, tmp_path):
         assert run("bench", "--settings", "1,7-5", "--sizes", "200", "--reps", "1",
                    "--models", "ccrm", "--out-dir", str(tmp_path / "bb")) == 2
+        assert not (tmp_path / "bb").exists()
+
+    @pytest.mark.parametrize("flags, env", [(["--workers", "0"], {}), ([], {"IVF_THREADS": "-1"})],
+                             ids=["--workers 0", "IVF_THREADS=-1"])
+    def test_worker_count_below_one_leaves_no_out_dir(self, tmp_path, monkeypatch, flags, env):
+        for key, val in env.items():
+            monkeypatch.setenv(key, val)
+        assert run("bench", "--settings", "1", "--sizes", "120", "--reps", "1", "--models", "ccrm",
+                   *flags, "--out-dir", str(tmp_path / "bb")) == 2
         assert not (tmp_path / "bb").exists()
 
     def test_ivf_threads_env(self, tmp_path, monkeypatch):

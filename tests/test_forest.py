@@ -209,9 +209,16 @@ class TestLevelWiseBuilder:
                     x, z = getattr(a, name), getattr(b, name)
                     assert x.dtype == z.dtype and x.tobytes() == z.tobytes(), name
 
-    @pytest.mark.parametrize("setting", [3, 7])
-    def test_every_node_matches_brute_force(self, setting):
+    @pytest.mark.parametrize("setting, decimals", [(3, None), (7, None), (7, 1)],
+                             ids=["3", "7", "7 rounded"])
+    def test_every_node_matches_brute_force(self, setting, decimals):
+        """With ``decimals``, features are rounded, so different rows tie in
+        a feature inside a node."""
         frame = simulate(SimSetting(setting, 90, 4))
+        if decimals is not None:
+            frame = IntervalFrame(frame.predictor_names, np.round(frame.x_center, decimals),
+                                  np.round(frame.x_radius, decimals), frame.y_center,
+                                  frame.y_radius)
         X = frame.features()
         m = X.shape[1]
         fit = fit_forest(frame, ForestParams(n_trees=4, mtry=m, min_node=3, seed=2))

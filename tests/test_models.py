@@ -102,6 +102,8 @@ TREE_FAULTS = {
     "left child is the right child": (lambda tree: _set("right", 0, tree["left"][0])(tree),
                                       "at most once"),
     "node with two parents": (_share_child, "at most once"),
+    "infinite threshold": (_set("threshold", 0, float("inf")), "'threshold' must be finite"),
+    "nan leaf value": (_set("value", -1, float("nan")), "'value' must be finite"),
 }
 
 
@@ -115,6 +117,13 @@ def test_forest_tree_faults_rejected_at_load(forest_text, case):
     with pytest.raises(ConfigError, match=r"^rf.json: .*radius_trees\[1\]") as info:
         model_from_json(json.dumps(doc), "rf.json")
     assert named in str(info.value)
+
+
+def test_forest_with_nan_oob_loads(forest_text):
+    """OOB R-squared is NaN when the OOB responses are constant; prediction does not read it."""
+    doc = json.loads(forest_text)
+    doc["oob"]["center"]["r2"] = float("nan")
+    assert np.isnan(model_from_json(json.dumps(doc), "rf.json").oob["center"]["r2"])
 
 
 def test_forest_without_trees_rejected(forest_text):
