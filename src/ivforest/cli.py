@@ -220,6 +220,7 @@ def cmd_bench(settings, sizes, reps, models, seed, train_fraction, trees, mtry, 
         if reps < 1:
             raise errors.ConfigError(f"reps must be >= 1, got {reps}")
         model_names(model_list)
+        resolve_workers(workers)  # checked as for the grid; the real split runs in one process
         out.mkdir(parents=True, exist_ok=True)  # before the fits, so a bad --out-dir fails fast
         fraction = 0.8 if train_fraction is None else train_fraction
         reports, predictions = run_real_data(

@@ -111,6 +111,8 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown setting {s}; choose from 1..7")
         if not (0.0 < self.train_fraction < 1.0):
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
+            raise ConfigError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,19 @@ randomness for tree t comes from the stream keyed by (seed, component, t):
 first its bootstrap, then one draw of candidate features per level for its
 open nodes (none when every feature is a candidate). Tree t does not depend
 on how many trees the forest has.
+
+Prediction and out-of-bag errors sum leaf values through ``_tree_sums``. It
+finds the leaves by leaf bitvectors (QuickScorer: Lucchese et al., SIGIR
+2015; Dato et al., ACM TOIS 35(2), 2016) when every tree has at most 64
+leaves and there are more rows than distinct (feature, threshold) pairs,
+and by walking the trees otherwise; both give the same bytes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +39,10 @@ from .rng import stream
 # fixed tree indices, so tree t never depends on n_trees. _tree_sums walks
 # trees in blocks of as many (tree, query row) pairs.
 _CHUNK_SAMPLES = 16_384
+
+# _bitvector_sums gives each tree one 64-bit word, a bit per leaf
+_WORD_BITS = 64
+_ALL_LEAVES = np.uint64(2**64 - 1)
 
 
 @dataclass(frozen=True)
@@ -338,50 +349,194 @@ def fit_forest(train: IntervalFrame, params: ForestParams | None = None) -> Fore
     return fit
 
 
+class _Nodes(NamedTuple):
+    """An ensemble's node arrays, concatenated in tree order, and its distinct thresholds."""
+
+    trees: list[Tree]
+    bounds: np.ndarray  # tree t holds nodes bounds[t] up to bounds[t + 1]
+    tree_of: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray  # an index into the concatenation
+    value: np.ndarray
+    n_leaves: np.ndarray  # per tree
+    pair_feature: np.ndarray  # the distinct (feature, threshold) pairs of split nodes, sorted
+    pair_threshold: np.ndarray
+    pair: np.ndarray  # each split node's pair, -1 at leaves
+
+
+def _pack(trees: list[Tree]) -> _Nodes:
+    sizes = [t.feature.size for t in trees]
+    bounds = np.cumsum([0] + sizes)
+    tree_of = np.repeat(np.arange(len(trees)), sizes)
+    feature, threshold, left, value = (
+        np.concatenate([getattr(t, key) for t in trees])
+        for key in ("feature", "threshold", "left", "value")
+    )
+    split = np.flatnonzero(feature >= 0)
+    split = split[np.argsort(threshold[split])]
+    split = split[np.argsort(feature[split], kind="stable")]  # by feature, then threshold
+    f, thr = feature[split], threshold[split]
+    new = np.ones(split.size, dtype=bool)
+    new[1:] = (f[1:] != f[:-1]) | (thr[1:] != thr[:-1])
+    pair = np.full(feature.size, -1, dtype=np.int64)
+    pair[split] = np.cumsum(new) - 1
+    return _Nodes(trees, bounds, tree_of, feature, threshold, left + bounds[tree_of], value,
+                  np.add.reduceat(feature < 0, bounds[:-1]), f[new], thr[new], pair)
+
+
 def _tree_sums(
     trees: list[Tree], X: np.ndarray, out_of_bag: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``X``, its leaf values summed in tree order and how many trees counted it.
 
     With ``out_of_bag``, ``X`` holds the training rows and a tree counts only rows outside its
-    bootstrap. Blocks of about ``_CHUNK_SAMPLES`` (tree, row) pairs walk their concatenated
-    node arrays. A pair steps from split node ``i`` to ``left[i] + (x > threshold[i])``, its
-    right child when ``x > threshold[i]``. Each block is added one tree at a time, in the order
-    of a per-tree loop.
+    bootstrap. Two paths find each (tree, row) pair's leaf and give the same bytes:
+
+    - ``_bitvector_sums``, leaf bitvectors after QuickScorer (Lucchese et al., SIGIR 2015;
+      Dato et al., ACM TOIS 35(2), 2016): one 64-bit word per tree, ANDed from per-feature
+      tables of split masks. It runs when every tree has at most 64 leaves and ``X`` has more
+      rows than the ensemble has distinct (feature, threshold) pairs: the tables hold a word
+      per tree and pair, so they pay for themselves only over more rows than pairs, and trees
+      of more leaves would need several words each.
+    - ``_walk_sums`` otherwise: blocks of (tree, row) pairs step down the trees' node arrays.
+    """
+    nodes = _pack(trees)
+    if nodes.n_leaves.max() <= _WORD_BITS and X.shape[0] > nodes.pair_threshold.size:
+        return _bitvector_sums(nodes, X, out_of_bag)
+    return _walk_sums(nodes, X, out_of_bag)
+
+
+def _in_tree_order(nodes: _Nodes, n: int, out_of_bag: bool, leaf_values):
+    """Per row, its leaf values summed one tree at a time in tree order, and its count.
+
+    ``leaf_values(start, stop, counted)`` gives the leaf value of every (tree, row) pair of
+    trees ``start`` up to ``stop``, a block of about ``_CHUNK_SAMPLES`` pairs.
+    """
+    total = np.zeros(n)
+    counts = np.zeros(n, dtype=np.int64)
+    n_trees = len(nodes.trees)
+    per_block = max(1, _CHUNK_SAMPLES // max(1, n))
+    for start in range(0, n_trees, per_block):
+        stop = min(start + per_block, n_trees)
+        counted = np.ones((stop - start, n), dtype=bool)
+        if out_of_bag:
+            for i, tree in enumerate(nodes.trees[start:stop]):
+                counted[i, tree.bootstrap] = False
+        for leaf, mask in zip(leaf_values(start, stop, counted), counted):
+            np.add(total, leaf, out=total, where=mask)
+            counts += mask
+    return total, counts
+
+
+def _walk_sums(nodes: _Nodes, X: np.ndarray, out_of_bag: bool = False):
+    """``_tree_sums`` by walking each block's counted (tree, row) pairs down its trees.
+
+    A pair steps from split node ``i`` to ``left[i] + (x > threshold[i])``, its right child
+    when ``x > threshold[i]``.
     """
     n = X.shape[0]
     Xt = X.T.ravel()  # X[r, f] is Xt[f * n + r]
-    total = np.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
-    per_block = max(1, _CHUNK_SAMPLES // max(1, n))
-    for start in range(0, len(trees), per_block):
-        block = trees[start : start + per_block]
-        sizes = [t.feature.size for t in block]
-        roots = np.cumsum(sizes) - sizes
-        feature, threshold, left, value = (
-            np.concatenate([getattr(t, key) for t in block])
-            for key in ("feature", "threshold", "left", "value")
+
+    def leaf_values(start, stop, counted):
+        lo, hi = nodes.bounds[start], nodes.bounds[stop]
+        feature, threshold, value = (
+            a[lo:hi] for a in (nodes.feature, nodes.threshold, nodes.value)
         )
+        left = nodes.left[lo:hi] - lo
         inner = feature >= 0
-        tree_of = np.repeat(np.arange(len(block)), sizes)
-        left = left + roots[tree_of]
         # pair b * n + r of tree b and row r finds X[r, f] at pair + (f - b) * n in Xt
-        offset = (feature - tree_of) * n
-        counted = np.ones((len(block), n), dtype=bool)
-        if out_of_bag:
-            for i, tree in enumerate(block):
-                counted[i, tree.bootstrap] = False
-        node = np.repeat(roots, n)  # each (tree, row) pair starts at its tree's root
+        offset = (feature - (nodes.tree_of[lo:hi] - start)) * n
+        node = np.repeat(nodes.bounds[start:stop] - lo, n)  # each pair starts at its tree's root
         active = np.flatnonzero(counted.ravel() & inner[node])
         while active.size:
             at = node[active]
             step = left[at] + (Xt[offset[at] + active] > threshold[at])
             node[active] = step
             active = active[inner[step]]
-        for leaf, mask in zip(value[node].reshape(len(block), n), counted):
-            np.add(total, leaf, out=total, where=mask)
-            counts += mask
-    return total, counts
+        return value[node].reshape(stop - start, n)
+
+    return _in_tree_order(nodes, n, out_of_bag, leaf_values)
+
+
+def _bitvector_sums(nodes: _Nodes, X: np.ndarray, out_of_bag: bool = False):
+    """``_tree_sums`` by leaf bitvectors (QuickScorer), for trees of at most 64 leaves.
+
+    Bit k of a tree's word stands for its k-th leaf from the left. A split node clears the
+    bits of its left subtree's leaves when ``x > threshold``. Feature f's table holds, per tree
+    and per count r of f's distinct thresholds below x, the AND of the masks of the nodes on
+    those r thresholds. ``searchsorted(thresholds, x, "left")`` counts the thresholds below x,
+    the nodes where the walk's ``x > threshold`` goes right. A row ANDs one table entry per
+    feature, and its leaf is the lowest bit left set: each leaf to its left lies in the left
+    subtree of a node where the walk goes right, and no node on the row's own path clears it.
+    """
+    n, m = X.shape
+    n_trees = len(nodes.trees)
+    first = _first_leaves(nodes)
+    reached = first >= 0
+    split = np.flatnonzero(reached & (nodes.feature >= 0))
+    leaf = np.flatnonzero(reached & (nodes.feature < 0))
+    # split node s clears leaves first[s] up to first[right child], its left subtree
+    one = np.uint64(1)
+    mask = ~((one << first[nodes.left[split] + 1].astype(np.uint64))
+             - (one << first[split].astype(np.uint64)))
+    # feature f's columns are starts[f] + f, no threshold below x, up to starts[f + 1] + f
+    starts = np.searchsorted(nodes.pair_feature, np.arange(m + 1))
+    table = np.full((n_trees, nodes.pair_threshold.size + m), _ALL_LEAVES)
+    np.bitwise_and.at(table, (nodes.tree_of[split], nodes.pair[split] + nodes.feature[split] + 1),
+                      mask)
+    columns = []
+    for f in np.unique(nodes.pair_feature).tolist():
+        a, b = starts[f] + f, starts[f + 1] + f + 1
+        np.bitwise_and.accumulate(table[:, a:b], axis=1, out=table[:, a:b])
+        below = np.searchsorted(nodes.pair_threshold[starts[f] : starts[f + 1]], X[:, f], "left")
+        columns.append(a + np.where(np.isnan(X[:, f]), 0, below))  # nan > threshold is false
+    # tree t's k-th leaf from the left at t * 64 + k
+    leaf_value = np.zeros(n_trees * _WORD_BITS)
+    leaf_value[nodes.tree_of[leaf] * _WORD_BITS + first[leaf]] = nodes.value[leaf]
+    word_start = _WORD_BITS * np.arange(n_trees)[:, None] - 1
+
+    def leaf_values(start, stop, counted):
+        word = np.full((stop - start, n), _ALL_LEAVES)
+        for col in columns:
+            word &= table[start:stop, col]
+        # word ^ (word - 1) holds the lowest set bit and the bits below it
+        return leaf_value[word_start[start:stop] + np.bitwise_count(word ^ (word - one))]
+
+    return _in_tree_order(nodes, n, out_of_bag, leaf_values)
+
+
+def _first_leaves(nodes: _Nodes) -> np.ndarray:
+    """Per node, the place among its tree's leaves, left to right, of its subtree's leftmost
+    leaf; -1 at nodes that their root does not reach. Trees must have at most 64 leaves.
+
+    One pass per depth level gives each node its depth and its path from the root, one bit
+    per step (1 for right). A parent precedes its children, so a stable sort by tree, then by
+    path padded with zeros to the deepest level, lists the nodes depth first, left subtree
+    first; the leaves before a node in that order are those left of its subtree.
+    """
+    feature, left, roots = nodes.feature, nodes.left, nodes.bounds[:-1]
+    is_split = feature >= 0
+    depth = np.full(feature.size, -1, dtype=np.int64)
+    path = np.zeros(feature.size, dtype=np.uint64)
+    depth[roots] = 0
+    inner = roots[is_split[roots]]
+    while inner.size:
+        kids = left[inner]
+        depth[kids] = depth[kids + 1] = depth[inner] + 1
+        path[kids] = path[inner] << 1
+        path[kids + 1] = path[kids] | 1
+        kids = np.concatenate([kids, kids + 1])
+        inner = kids[is_split[kids]]
+    reached = np.flatnonzero(depth >= 0)
+    d = depth[reached]
+    padded = path[reached] << (d.max() - d).astype(np.uint64)
+    order = reached[np.lexsort((padded, nodes.tree_of[reached]))]
+    is_leaf = ~is_split[order]
+    first = np.full(feature.size, -1, dtype=np.int64)
+    first[order] = np.cumsum(is_leaf) - is_leaf
+    first[order] -= first[roots][nodes.tree_of[order]]
+    return first
 
 
 def predict_forest_rows(fit: ForestFit, queries: np.ndarray) -> PredictionSet:

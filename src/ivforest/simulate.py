@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import UnknownSettingError
 from .frame import IntervalFrame
@@ -44,6 +43,8 @@ class SimSetting:
 
 
 def _norm_cdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
+    from scipy.special import ndtr  # imported here: it doubles the start-up of every ivf command
+
     return ndtr((x - mu) / sigma)
 
 

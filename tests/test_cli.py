@@ -212,6 +212,9 @@ FAULTS = {
     "IVF_THREADS=abc": (bench_argv, {"IVF_THREADS": "abc"}, 2, "IVF_THREADS"),
     "IVF_THREADS=0": (bench_argv, {"IVF_THREADS": "0"}, 2, "IVF_THREADS"),
     "bench --workers -3": (lambda t: bench_argv(t, "--workers", "-3"), {}, 2, "workers"),
+    "bench --real --workers -3": (
+        lambda t: ["bench", "--real", str(simulate_csv(t, n=40)), "--models", "ccrm",
+                   "--workers", "-3", "--out-dir", str(t / "real")], {}, 2, "workers"),
     "evaluate a non-numeric cell": (lambda t: evaluate_argv(t, "0,1,0\n0,x,0\n0,1,0\n"), {}, 3,
                                     "row 2"),
     "evaluate a one-cell row": (lambda t: evaluate_argv(t, "0,1,0\n0\n0,1,0\n"), {}, 3, "row 2"),
@@ -225,6 +228,15 @@ FAULTS = {
         for parent in ("a file", "a missing directory")
     },
 }
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    """Only simulation needs scipy.special, and importing it doubles every command's start-up."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    code = "import sys, ivforest.cli; sys.exit('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("case", list(FAULTS))
@@ -297,6 +309,11 @@ class TestBenchCommand:
         assert run("bench", "--settings", "1,7-5", "--sizes", "200", "--reps", "1",
                    "--models", "ccrm", "--out-dir", str(tmp_path / "bb")) == 2
         assert not (tmp_path / "bb").exists()
+
+    def test_infinite_bandwidth_leaves_no_out_dir(self, tmp_path):
+        assert run("bench", "--settings", "1", "--sizes", "120", "--reps", "1", "--models", "ke",
+                   "--bandwidth", "inf", "--workers", "1", "--out-dir", str(tmp_path / "bw")) == 2
+        assert not (tmp_path / "bw").exists()
 
     @pytest.mark.parametrize("flags, env", [(["--workers", "0"], {}), ([], {"IVF_THREADS": "-1"})],
                              ids=["--workers 0", "IVF_THREADS=-1"])

@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from ivforest import forest
 from ivforest.errors import DimensionError, OOBUnavailableError, UnderdeterminedError
 from ivforest.evaluate import evaluate_frame
 from ivforest.forest import (
     _CHUNK_SAMPLES,
     _TREE_ARRAYS,
     ForestParams,
+    Tree,
+    _bitvector_sums,
+    _pack,
     _tree_problem,
     _tree_sums,
+    _walk_sums,
     best_split,
     fit_forest,
     forest_from_json,
@@ -522,3 +527,161 @@ class TestTraversal:
             resid = acc[used] / hits[used] - y[used]
             assert oob[component]["rows_used"] == used.sum()
             assert oob[component]["mse"] == float(np.mean(resid**2))
+
+
+def assert_paths_agree(trees, X, out_of_bag=False):
+    """The walk and the leaf bitvectors give the same totals and counts, byte for byte."""
+    nodes = _pack(trees)
+    walk, bits = _walk_sums(nodes, X, out_of_bag), _bitvector_sums(nodes, X, out_of_bag)
+    for a, b in zip(walk, bits):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return walk
+
+
+def chain_tree(n_leaves, deep_right, n_rows):
+    """A tree in which every split node has a leaf child, the other child splitting again;
+    split i is on feature i % 2, and thresholds repeat along the chain."""
+    n = 2 * n_leaves - 1
+    feature = np.full(n, -1, dtype=np.int64)
+    left = np.full(n, -1, dtype=np.int64)
+    node = 0
+    for i in range(n_leaves - 1):
+        feature[node] = i % 2
+        left[node] = 2 * i + 1
+        node = left[node] + deep_right
+    split = feature >= 0
+    threshold = np.where(split, np.arange(n) * 0.37 % 2 - 1, 0.0)
+    value = np.where(split, 0.0, np.arange(n) / 7)
+    bootstrap = np.arange(0, n_rows, 3, dtype=np.int64)
+    return Tree(feature, threshold, left, value, np.ones(n, dtype=np.int64), bootstrap)
+
+
+@pytest.fixture
+def paths_taken(monkeypatch):
+    """The names of the paths that ``_tree_sums`` takes, in call order."""
+    taken = []
+    for name in ("_walk_sums", "_bitvector_sums"):
+        def record(*args, _name=name, _fn=getattr(forest, name)):
+            taken.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(forest, name, record)
+    return taken
+
+
+class TestLeafBitvectors:
+    @pytest.mark.parametrize("setting, decimals", [(s, None) for s in range(1, 8)] + [(7, 1)],
+                             ids=[str(s) for s in range(1, 8)] + ["7 rounded"])
+    def test_matches_walk(self, setting, decimals):
+        frame = simulate(SimSetting(setting, 100, 4))
+        queries = simulate(SimSetting(setting, 300, 5))
+        if decimals is not None:
+            frame, queries = (
+                IntervalFrame(f.predictor_names, np.round(f.x_center, decimals),
+                              np.round(f.x_radius, decimals), f.y_center, f.y_radius)
+                for f in (frame, queries)
+            )
+        fit = fit_forest(frame, ForestParams(n_trees=12, seed=2))
+        for trees in (fit.center_trees, fit.radius_trees):
+            assert max(t.n_leaves for t in trees) <= 64
+            assert_paths_agree(trees, queries.features())
+            assert_paths_agree(trees, frame.features(), out_of_bag=True)
+
+    def test_root_only_trees(self):
+        frame = simulate(SimSetting(1, 60, 2))
+        X = frame.features()
+        grown = fit_forest(frame, ForestParams(n_trees=3, seed=1)).center_trees
+        root = Tree(np.array([-1]), np.zeros(1), np.array([-1]), np.array([2.5]),
+                    np.array([60]), np.arange(0, 60, 2))
+        assert_paths_agree([root, root], X, out_of_bag=True)
+        total, counts = assert_paths_agree([root, *grown, root], X)
+        assert counts.tolist() == [5] * 60
+
+    def test_nodes_the_root_does_not_reach(self):
+        """A model file may hold nodes outside the tree, here split node 3 and its leaves."""
+        arrays = {"feature": [0, -1, -1, 1, -1, -1], "threshold": [0.0, 0, 0, 0.5, 0, 0],
+                  "left": [1, -1, -1, 4, -1, -1], "right": [2, -1, -1, 5, -1, -1],
+                  "value": [0, 1.0, 2.0, 0, 3.0, 4.0], "count": [1] * 6, "bootstrap": [0, 2]}
+        arrays = {k: np.asarray(v, dtype=_TREE_ARRAYS[k]) for k, v in arrays.items()}
+        assert _tree_problem(arrays, 2) is None
+        tree = forest._level_order(arrays)
+        chain = chain_tree(64, True, 50)  # its last leaf takes the last bit of its word
+        X = np.random.default_rng(3).uniform(-1.5, 1.5, (300, 2))
+        total, _ = assert_paths_agree([chain, tree], X)
+        assert_paths_agree([chain, tree], X[:50], out_of_bag=True)
+        assert total.tobytes() == (route(chain, X) + route(tree, X)).tobytes()
+
+    @pytest.mark.parametrize("deep_right", [True, False], ids=["deep right", "deep left"])
+    def test_64_leaves_use_bitvectors_and_65_walk(self, paths_taken, deep_right):
+        """A 64-leaf chain is 63 levels deep."""
+        X = np.random.default_rng(1).uniform(-1.5, 1.5, (500, 2))
+        trees = [chain_tree(64, deep_right, 500), chain_tree(5, not deep_right, 500)]
+        walk = assert_paths_agree(trees, X)
+        assert_paths_agree(trees, X, out_of_bag=True)
+        got = _tree_sums(trees, X)
+        assert paths_taken == ["_bitvector_sums"]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(walk, got))
+        trees.append(chain_tree(65, deep_right, 500))
+        got = _tree_sums(trees, X)
+        assert paths_taken[1:] == ["_walk_sums"]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(_walk_sums(_pack(trees), X), got))
+
+    def test_grown_64_leaf_tree(self):
+        """Distinct responses on 64 distinct rows split down to one row per leaf."""
+        X = np.column_stack([np.arange(64.0), np.zeros(64)])
+        y = np.random.default_rng(2).permutation(64).astype(float)
+        params = ForestParams(mtry=2, min_node=1)
+        tree = grow_tree(np.arange(64), y, X, params, stream("t", 0))
+        assert tree.n_leaves == 64
+        queries = np.column_stack([np.linspace(-1, 64, 400), np.zeros(400)])
+        total, _ = assert_paths_agree([tree], queries)
+        assert total.tobytes() == route(tree, queries).tobytes()
+
+    def test_rows_are_counted_more_than_pairs(self, paths_taken):
+        fit = fit_forest(simulate(SimSetting(5, 80, 3)), ForestParams(n_trees=4, seed=1))
+        pairs = _pack(fit.center_trees).pair_threshold.size
+        X = simulate(SimSetting(5, pairs + 1, 4)).features()
+        paths_taken.clear()  # of the fit's out-of-bag errors
+        _tree_sums(fit.center_trees, X[:pairs])
+        _tree_sums(fit.center_trees, X)
+        assert paths_taken == ["_walk_sums", "_bitvector_sums"]
+
+    def test_feature_without_splits(self):
+        rng = np.random.default_rng(7)
+        X = np.column_stack([rng.normal(size=90), np.full(90, 0.5), rng.normal(size=90)])
+        y = X[:, 0] + X[:, 2] ** 2
+        boots = [stream("boot", t).integers(0, 90, 90) for t in range(4)]
+        trees = grow_trees(X, y, boots, [stream("t", t) for t in range(4)], ForestParams(mtry=3))
+        assert _pack(trees).pair_feature.tolist().count(1) == 0
+        queries = rng.normal(size=(300, 3))
+        assert_paths_agree(trees, queries)
+        assert_paths_agree(trees, X, out_of_bag=True)
+
+    def test_query_equal_to_a_threshold_goes_left(self):
+        frame = simulate(SimSetting(1, 120, 6))
+        fit = fit_forest(frame, ForestParams(n_trees=10, seed=3))
+        for trees in (fit.center_trees, fit.radius_trees):
+            nodes = _pack(trees)
+            on = [nodes.pair_threshold[nodes.pair_feature == f] for f in (0, 1)]
+            X = np.column_stack([np.resize(on[0], 600), np.resize(on[1][::-1], 600)])
+            X[::7, 1] = np.nan  # nan > threshold is false, as for the walk
+            total, counts = assert_paths_agree(trees, X)
+            expected = np.zeros(600)
+            for tree in trees:
+                expected += route(tree, np.nan_to_num(X, nan=-np.inf))
+            assert total.tobytes() == expected.tobytes()
+            assert counts.tolist() == [len(trees)] * 600
+
+    def test_renumbered_depth_first_file(self):
+        frame = simulate(SimSetting(7, 120, 3))
+        fit = fit_forest(frame, ForestParams(n_trees=6, seed=4))
+        doc = json.loads(forest_to_json(fit))
+        for key in ("center_trees", "radius_trees"):
+            doc[key] = [preorder(t) for t in getattr(fit, key)]
+        again = forest_from_json(json.dumps(doc))
+        X = simulate(SimSetting(7, 400, 5)).features()
+        for loaded, grown in ((again.center_trees, fit.center_trees),
+                              (again.radius_trees, fit.radius_trees)):
+            for out_of_bag, rows in ((False, X), (True, frame.features())):
+                got = assert_paths_agree(loaded, rows, out_of_bag)
+                want = _walk_sums(_pack(grown), rows, out_of_bag)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
