@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateTruthError, DimensionError, EmptySampleError, ParseError
 from .frame import IntervalFrame, SplitSpec, split
 from .linear import PredictionSet
-from .models import MODELS, fit_model, model_names, predict_model
+from .models import MODELS, check_fit_settings, fit_model, model_names, predict_model
 from .rng import derive_seed
 from .simulate import SETTING_IDS, SimSetting, simulate
 
@@ -111,8 +111,8 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown setting {s}; choose from 1..7")
         if not (0.0 < self.train_fraction < 1.0):
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
-            raise ConfigError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        check_fit_settings(self.bandwidth, n_trees=self.n_trees, mtry=self.mtry,
+                           min_node=self.min_node)
 
 
 @dataclass(frozen=True)

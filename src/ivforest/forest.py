@@ -14,11 +14,12 @@ first its bootstrap, then one draw of candidate features per level for its
 open nodes (none when every feature is a candidate). Tree t does not depend
 on how many trees the forest has.
 
-Prediction and out-of-bag errors sum leaf values through ``_tree_sums``. It
-finds the leaves by leaf bitvectors (QuickScorer: Lucchese et al., SIGIR
-2015; Dato et al., ACM TOIS 35(2), 2016) when every tree has at most 64
-leaves and there are more rows than distinct (feature, threshold) pairs,
-and by walking the trees otherwise; both give the same bytes.
+Prediction and out-of-bag errors sum leaf values through ``_tree_sums``,
+one tree at a time in tree order. It chooses a path per tree: trees of at
+most 64 leaves find their leaves by leaf bitvectors (QuickScorer: Lucchese
+et al., SIGIR 2015; Dato et al., ACM TOIS 35(2), 2016) when there are more
+rows than those trees have distinct (feature, threshold) pairs, and every
+other tree is walked; both paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ from .rng import stream
 # trees in blocks of as many (tree, query row) pairs.
 _CHUNK_SAMPLES = 16_384
 
-# _bitvector_sums gives each tree one 64-bit word, a bit per leaf
+# _bitvector_rows gives each tree one 64-bit word, a bit per leaf, and builds the tables of
+# as many trees at a time as hold about _TABLE_WORDS words
 _WORD_BITS = 64
 _ALL_LEAVES = np.uint64(2**64 - 1)
+_TABLE_WORDS = 2**17
 
 
 @dataclass(frozen=True)
@@ -359,7 +362,6 @@ class _Nodes(NamedTuple):
     threshold: np.ndarray
     left: np.ndarray  # an index into the concatenation
     value: np.ndarray
-    n_leaves: np.ndarray  # per tree
     pair_feature: np.ndarray  # the distinct (feature, threshold) pairs of split nodes, sorted
     pair_threshold: np.ndarray
     pair: np.ndarray  # each split node's pair, -1 at leaves
@@ -382,7 +384,7 @@ def _pack(trees: list[Tree]) -> _Nodes:
     pair = np.full(feature.size, -1, dtype=np.int64)
     pair[split] = np.cumsum(new) - 1
     return _Nodes(trees, bounds, tree_of, feature, threshold, left + bounds[tree_of], value,
-                  np.add.reduceat(feature < 0, bounds[:-1]), f[new], thr[new], pair)
+                  f[new], thr[new], pair)
 
 
 def _tree_sums(
@@ -391,30 +393,53 @@ def _tree_sums(
     """Per row of ``X``, its leaf values summed in tree order and how many trees counted it.
 
     With ``out_of_bag``, ``X`` holds the training rows and a tree counts only rows outside its
-    bootstrap. Two paths find each (tree, row) pair's leaf and give the same bytes:
+    bootstrap. Two paths find each (tree, row) pair's leaf and give the same bytes, and each
+    tree takes one of them:
 
-    - ``_bitvector_sums``, leaf bitvectors after QuickScorer (Lucchese et al., SIGIR 2015;
+    - ``_bitvector_rows``, leaf bitvectors after QuickScorer (Lucchese et al., SIGIR 2015;
       Dato et al., ACM TOIS 35(2), 2016): one 64-bit word per tree, ANDed from per-feature
-      tables of split masks. It runs when every tree has at most 64 leaves and ``X`` has more
-      rows than the ensemble has distinct (feature, threshold) pairs: the tables hold a word
-      per tree and pair, so they pay for themselves only over more rows than pairs, and trees
-      of more leaves would need several words each.
-    - ``_walk_sums`` otherwise: blocks of (tree, row) pairs step down the trees' node arrays.
+      tables of split masks. The trees of at most 64 leaves, the word trees, take it when ``X``
+      has more rows than they have distinct (feature, threshold) pairs: the tables hold a word
+      per word tree and pair, so they pay for themselves only over more rows than pairs, and
+      trees of more leaves would need several words each.
+    - ``_walk_rows`` for every other tree: blocks of (tree, row) pairs step down the trees'
+      node arrays.
     """
-    nodes = _pack(trees)
-    if nodes.n_leaves.max() <= _WORD_BITS and X.shape[0] > nodes.pair_threshold.size:
-        return _bitvector_sums(nodes, X, out_of_bag)
-    return _walk_sums(nodes, X, out_of_bag)
+    # every split node has two children, so a tree of at most 127 nodes has at most 64 leaves;
+    # nodes that the root does not reach, which a model file may hold, only make a tree walk
+    is_word = [tree.feature.size < 2 * _WORD_BITS for tree in trees]
+    paths = {}
+    for word in (True, False):
+        if word not in is_word:
+            continue
+        nodes = _pack([tree for tree, w in zip(trees, is_word) if w == word])
+        bitvectors = word and X.shape[0] > nodes.pair_threshold.size
+        paths[word] = (_bitvector_rows if bitvectors else _walk_rows)(nodes, X, out_of_bag)
+    return _in_tree_order(X.shape[0], [paths[word] for word in is_word])
 
 
-def _in_tree_order(nodes: _Nodes, n: int, out_of_bag: bool, leaf_values):
+def _in_tree_order(n: int, sources: list) -> tuple[np.ndarray, np.ndarray]:
     """Per row, its leaf values summed one tree at a time in tree order, and its count.
+
+    Tree t's leaf values over the ``n`` rows, and the rows it counts, are the next pair that
+    ``sources[t]`` yields. A path yields its own trees' pairs in their order, so trees that
+    share a path share its iterator.
+    """
+    total = np.zeros(n)
+    counts = np.zeros(n, dtype=np.int64)
+    for source in sources:
+        leaf, mask = next(source)
+        np.add(total, leaf, out=total, where=mask)
+        counts += mask
+    return total, counts
+
+
+def _by_block(nodes: _Nodes, n: int, out_of_bag: bool, leaf_values):
+    """Each tree's leaf values over ``n`` rows and the rows it counts, in tree order.
 
     ``leaf_values(start, stop, counted)`` gives the leaf value of every (tree, row) pair of
     trees ``start`` up to ``stop``, a block of about ``_CHUNK_SAMPLES`` pairs.
     """
-    total = np.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
     n_trees = len(nodes.trees)
     per_block = max(1, _CHUNK_SAMPLES // max(1, n))
     for start in range(0, n_trees, per_block):
@@ -423,14 +448,22 @@ def _in_tree_order(nodes: _Nodes, n: int, out_of_bag: bool, leaf_values):
         if out_of_bag:
             for i, tree in enumerate(nodes.trees[start:stop]):
                 counted[i, tree.bootstrap] = False
-        for leaf, mask in zip(leaf_values(start, stop, counted), counted):
-            np.add(total, leaf, out=total, where=mask)
-            counts += mask
-    return total, counts
+        yield from zip(leaf_values(start, stop, counted), counted)
 
 
 def _walk_sums(nodes: _Nodes, X: np.ndarray, out_of_bag: bool = False):
-    """``_tree_sums`` by walking each block's counted (tree, row) pairs down its trees.
+    """``_tree_sums`` with every tree walked."""
+    return _in_tree_order(X.shape[0], [_walk_rows(nodes, X, out_of_bag)] * len(nodes.trees))
+
+
+def _bitvector_sums(nodes: _Nodes, X: np.ndarray, out_of_bag: bool = False):
+    """``_tree_sums`` with every tree on leaf bitvectors; trees must have at most 64 leaves."""
+    return _in_tree_order(X.shape[0], [_bitvector_rows(nodes, X, out_of_bag)] * len(nodes.trees))
+
+
+def _walk_rows(nodes: _Nodes, X: np.ndarray, out_of_bag: bool):
+    """The trees' rows for ``_in_tree_order``, found by walking each block's counted (tree, row)
+    pairs down its trees.
 
     A pair steps from split node ``i`` to ``left[i] + (x > threshold[i])``, its right child
     when ``x > threshold[i]``.
@@ -456,11 +489,12 @@ def _walk_sums(nodes: _Nodes, X: np.ndarray, out_of_bag: bool = False):
             active = active[inner[step]]
         return value[node].reshape(stop - start, n)
 
-    return _in_tree_order(nodes, n, out_of_bag, leaf_values)
+    return _by_block(nodes, n, out_of_bag, leaf_values)
 
 
-def _bitvector_sums(nodes: _Nodes, X: np.ndarray, out_of_bag: bool = False):
-    """``_tree_sums`` by leaf bitvectors (QuickScorer), for trees of at most 64 leaves.
+def _bitvector_rows(nodes: _Nodes, X: np.ndarray, out_of_bag: bool):
+    """The trees' rows for ``_in_tree_order``, found by leaf bitvectors (QuickScorer); trees
+    must have at most 64 leaves.
 
     Bit k of a tree's word stands for its k-th leaf from the left. A split node clears the
     bits of its left subtree's leaves when ``x > threshold``. Feature f's table holds, per tree
@@ -469,6 +503,9 @@ def _bitvector_sums(nodes: _Nodes, X: np.ndarray, out_of_bag: bool = False):
     the nodes where the walk's ``x > threshold`` goes right. A row ANDs one table entry per
     feature, and its leaf is the lowest bit left set: each leaf to its left lies in the left
     subtree of a node where the walk goes right, and no node on the row's own path clears it.
+
+    The tables of a group of trees are built when a block first needs them, so that they
+    take about ``_TABLE_WORDS`` words at a time, or one block's trees if those take more.
     """
     n, m = X.shape
     n_trees = len(nodes.trees)
@@ -482,28 +519,37 @@ def _bitvector_sums(nodes: _Nodes, X: np.ndarray, out_of_bag: bool = False):
              - (one << first[split].astype(np.uint64)))
     # feature f's columns are starts[f] + f, no threshold below x, up to starts[f + 1] + f
     starts = np.searchsorted(nodes.pair_feature, np.arange(m + 1))
-    table = np.full((n_trees, nodes.pair_threshold.size + m), _ALL_LEAVES)
-    np.bitwise_and.at(table, (nodes.tree_of[split], nodes.pair[split] + nodes.feature[split] + 1),
-                      mask)
-    columns = []
+    split_tree, split_column = nodes.tree_of[split], nodes.pair[split] + nodes.feature[split] + 1
+    spans, columns = [], []
     for f in np.unique(nodes.pair_feature).tolist():
         a, b = starts[f] + f, starts[f + 1] + f + 1
-        np.bitwise_and.accumulate(table[:, a:b], axis=1, out=table[:, a:b])
+        spans.append(slice(a, b))
         below = np.searchsorted(nodes.pair_threshold[starts[f] : starts[f + 1]], X[:, f], "left")
         columns.append(a + np.where(np.isnan(X[:, f]), 0, below))  # nan > threshold is false
     # tree t's k-th leaf from the left at t * 64 + k
     leaf_value = np.zeros(n_trees * _WORD_BITS)
     leaf_value[nodes.tree_of[leaf] * _WORD_BITS + first[leaf]] = nodes.value[leaf]
     word_start = _WORD_BITS * np.arange(n_trees)[:, None] - 1
+    width = nodes.pair_threshold.size + m
+    first_tree, table = 0, np.empty((0, width), dtype=np.uint64)  # the current group's
 
     def leaf_values(start, stop, counted):
+        nonlocal first_tree, table
+        if stop > first_tree + len(table):
+            end = min(n_trees, max(stop, start + _TABLE_WORDS // width))
+            first_tree, table = start, np.full((end - start, width), _ALL_LEAVES)
+            lo, hi = np.searchsorted(split_tree, [start, end])
+            np.bitwise_and.at(table, (split_tree[lo:hi] - start, split_column[lo:hi]),
+                              mask[lo:hi])
+            for span in spans:
+                np.bitwise_and.accumulate(table[:, span], axis=1, out=table[:, span])
         word = np.full((stop - start, n), _ALL_LEAVES)
         for col in columns:
-            word &= table[start:stop, col]
+            word &= table[start - first_tree : stop - first_tree, col]
         # word ^ (word - 1) holds the lowest set bit and the bits below it
         return leaf_value[word_start[start:stop] + np.bitwise_count(word ^ (word - one))]
 
-    return _in_tree_order(nodes, n, out_of_bag, leaf_values)
+    return _by_block(nodes, n, out_of_bag, leaf_values)
 
 
 def _first_leaves(nodes: _Nodes) -> np.ndarray:

@@ -36,6 +36,12 @@ def kernel_weight(name: str, u: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown kernel {name!r}")
 
 
+def check_bandwidth(h: float) -> None:
+    """Raise ConfigError unless the bandwidth ``h`` is positive and finite."""
+    if not 0.0 < h < np.inf:
+        raise ConfigError(f"bandwidth must be positive and finite, got {h}")
+
+
 @dataclass(frozen=True)
 class KernelFit:
     """Retained training data plus kernel name and bandwidth."""
@@ -50,8 +56,7 @@ class KernelFit:
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise ConfigError(f"unknown kernel {self.kernel!r}")
-        if not 0.0 < self.h < np.inf:
-            raise ConfigError(f"bandwidth must be positive and finite, got {self.h}")
+        check_bandwidth(self.h)
         if self.x_features.shape[0] < 1:
             raise EmptySampleError("kernel fit needs at least one training row")
 

@@ -18,8 +18,8 @@ from .errors import ConfigError, IvforestError
 from .forest import (ForestFit, ForestParams, fit_forest, forest_from_doc, forest_to_json,
                      predict_forest_frame, predict_forest_rows)
 from .frame import IntervalFrame
-from .kernel import (KernelFit, fit_kernel, kernel_from_doc, kernel_to_json, predict_kernel_frame,
-                     predict_kernel_rows)
+from .kernel import (KernelFit, check_bandwidth, fit_kernel, kernel_from_doc, kernel_to_json,
+                     predict_kernel_frame, predict_kernel_rows)
 from .linear import (VARIANTS, LinearFit, PredictionSet, fit_linear, linear_from_doc,
                      linear_to_json, predict_linear, predict_linear_frame)
 
@@ -52,6 +52,14 @@ def fit_model(name: str, train: IntervalFrame, seed: int = 0, kernel: str = "gau
     if name == "rf":
         return fit_forest(train, ForestParams(seed=seed, **forest_params))
     raise ConfigError(f"unknown model {name!r}; choose from {', '.join(MODELS)}")
+
+
+def check_fit_settings(bandwidth: float | None = None, **forest_params) -> None:
+    """Raise ConfigError for a fixed bandwidth or a forest setting that :func:`fit_model`
+    would reject, so that a run can check them before it fits or writes anything."""
+    if bandwidth is not None:
+        check_bandwidth(bandwidth)
+    ForestParams(**forest_params)
 
 
 def predict_model(fit, test: IntervalFrame) -> PredictionSet:

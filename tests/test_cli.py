@@ -315,6 +315,12 @@ class TestBenchCommand:
                    "--bandwidth", "inf", "--workers", "1", "--out-dir", str(tmp_path / "bw")) == 2
         assert not (tmp_path / "bw").exists()
 
+    @pytest.mark.parametrize("flag", ["--trees", "--min-node"])
+    def test_forest_setting_below_one_leaves_no_out_dir(self, tmp_path, flag):
+        assert run("bench", "--settings", "1", "--sizes", "120", "--reps", "1", "--models", "rf",
+                   flag, "0", "--workers", "1", "--out-dir", str(tmp_path / "bb")) == 2
+        assert not (tmp_path / "bb").exists()
+
     @pytest.mark.parametrize("flags, env", [(["--workers", "0"], {}), ([], {"IVF_THREADS": "-1"})],
                              ids=["--workers 0", "IVF_THREADS=-1"])
     def test_worker_count_below_one_leaves_no_out_dir(self, tmp_path, monkeypatch, flags, env):
@@ -363,6 +369,20 @@ class TestBenchCommand:
         (tmp_path / "afile").write_text("", encoding="utf-8")
         assert run("bench", "--real", str(data), "--models", "ccrm,rf", "--trees", "2",
                    "--out-dir", str(tmp_path / "afile" / "sub")) == 2
+
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--models", "ke", "--bandwidth", "inf"], 2),
+        (["--models", "ke", "--bandwidth", "0"], 2),
+        (["--models", "rf", "--trees", "0"], 2),
+        (["--min-node", "0"], 2),
+        (["--train-fraction", "1.5"], 3),
+    ], ids=lambda flags: " ".join(flags) if isinstance(flags, list) else None)
+    def test_real_mode_checks_inputs_before_out_dir(self, tmp_path, flags, code):
+        data = simulate_csv(tmp_path, setting=5, n=150)
+        out = tmp_path / "real"
+        assert run("bench", "--real", str(data), *flags, "--out-dir", str(out)) == code
+        assert not out.exists()
 
 
 class TestPlotCommand:

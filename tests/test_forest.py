@@ -558,14 +558,22 @@ def chain_tree(n_leaves, deep_right, n_rows):
 
 @pytest.fixture
 def paths_taken(monkeypatch):
-    """The names of the paths that ``_tree_sums`` takes, in call order."""
+    """The paths that ``_tree_sums`` takes, in call order, each with how many trees it took."""
     taken = []
-    for name in ("_walk_sums", "_bitvector_sums"):
-        def record(*args, _name=name, _fn=getattr(forest, name)):
-            taken.append(_name)
-            return _fn(*args)
+    for name in ("_walk_rows", "_bitvector_rows"):
+        def record(nodes, *args, _name=name, _fn=getattr(forest, name)):
+            taken.append((_name, len(nodes.trees)))
+            return _fn(nodes, *args)
         monkeypatch.setattr(forest, name, record)
     return taken
+
+
+def scaled(tree, factor):
+    return dataclasses.replace(tree, value=tree.value * factor)
+
+
+def assert_same_bytes(got, want):
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 class TestLeafBitvectors:
@@ -612,18 +620,71 @@ class TestLeafBitvectors:
 
     @pytest.mark.parametrize("deep_right", [True, False], ids=["deep right", "deep left"])
     def test_64_leaves_use_bitvectors_and_65_walk(self, paths_taken, deep_right):
-        """A 64-leaf chain is 63 levels deep."""
+        """A 64-leaf chain is 63 levels deep. A 65-leaf tree walks; the others keep bitvectors."""
         X = np.random.default_rng(1).uniform(-1.5, 1.5, (500, 2))
         trees = [chain_tree(64, deep_right, 500), chain_tree(5, not deep_right, 500)]
         walk = assert_paths_agree(trees, X)
         assert_paths_agree(trees, X, out_of_bag=True)
+        paths_taken.clear()
         got = _tree_sums(trees, X)
-        assert paths_taken == ["_bitvector_sums"]
+        assert paths_taken == [("_bitvector_rows", 2)]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(walk, got))
         trees.append(chain_tree(65, deep_right, 500))
+        walk = _walk_sums(_pack(trees), X)
+        paths_taken.clear()
         got = _tree_sums(trees, X)
-        assert paths_taken[1:] == ["_walk_sums"]
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(_walk_sums(_pack(trees), X), got))
+        assert paths_taken == [("_bitvector_rows", 2), ("_walk_rows", 1)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(walk, got))
+
+    @pytest.mark.parametrize("order", ["Bsss", "sBsB", "ssBs", "sssB"])
+    def test_mixed_ensemble_sums_in_tree_order(self, paths_taken, order):
+        """Trees of 65-66 leaves (B) among word trees (s). Leaf values of about 1e16 and 1
+        round differently unless every tree is added in tree order."""
+        n = 600
+        X = np.random.default_rng(4).uniform(-1.5, 1.5, (n, 2))
+        small = iter(chain_tree(k, k % 2 == 0, n) for k in (3, 8, 12, 5))
+        big = iter(scaled(chain_tree(65 + i, i == 0, n), (-1) ** i * 1e16) for i in range(2))
+        trees = [next(big) if c == "B" else next(small) for c in order]
+        for rows, out_of_bag in ((X, False), (X, True), (X[:0], False)):
+            want = _walk_sums(_pack(trees), rows, out_of_bag)
+            paths_taken.clear()
+            assert_same_bytes(_tree_sums(trees, rows, out_of_bag), want)
+            words, others = order.count("s"), order.count("B")
+            path = "_bitvector_rows" if rows.shape[0] else "_walk_rows"
+            assert paths_taken == [(path, words), ("_walk_rows", others)]
+
+    def test_mixed_ensemble_rows_against_word_tree_pairs(self, paths_taken):
+        """Only the word trees' pairs count: rows equal to them walk every tree, one more row
+        takes bitvectors for the word trees."""
+        trees = [chain_tree(20, True, 100), chain_tree(70, False, 100), chain_tree(9, False, 100)]
+        pairs = _pack([trees[0], trees[2]]).pair_threshold.size
+        assert pairs < _pack(trees).pair_threshold.size
+        X = np.random.default_rng(5).uniform(-1.5, 1.5, (pairs + 1, 2))
+        for rows, path in ((X[:pairs], "_walk_rows"), (X, "_bitvector_rows")):
+            want = _walk_sums(_pack(trees), rows)
+            paths_taken.clear()
+            assert_same_bytes(_tree_sums(trees, rows), want)
+            assert paths_taken == [(path, 2), ("_walk_rows", 1)]
+
+    def test_grown_mixed_forest_matches_walk(self, monkeypatch, paths_taken):
+        """Setting 7 on 400 rows grows trees on both sides of 64 leaves."""
+        frame = simulate(SimSetting(7, 400, 1))
+        fit = fit_forest(frame, ForestParams(n_trees=40, seed=1))
+        for trees in (fit.center_trees, fit.radius_trees):
+            leaves = [t.n_leaves for t in trees]
+            assert min(leaves) <= 64 < max(leaves)
+        X = simulate(SimSetting(7, 3000, 2)).features()
+        paths_taken.clear()
+        pred, oob = predict_forest_rows(fit, X), oob_error(fit, frame)
+        # prediction takes bitvectors for the word trees; 400 out-of-bag rows walk every tree
+        assert [name for name, _ in paths_taken] == ["_bitvector_rows", "_walk_rows"] * 2 + [
+            "_walk_rows"] * 4
+        monkeypatch.setattr(forest, "_tree_sums", lambda trees, X, out_of_bag=False:
+                            _walk_sums(_pack(trees), X, out_of_bag))
+        walked = predict_forest_rows(fit, X)
+        assert pred.center.tobytes() == walked.center.tobytes()
+        assert pred.radius.tobytes() == walked.radius.tobytes()
+        assert oob == oob_error(fit, frame)
 
     def test_grown_64_leaf_tree(self):
         """Distinct responses on 64 distinct rows split down to one row per leaf."""
@@ -643,7 +704,20 @@ class TestLeafBitvectors:
         paths_taken.clear()  # of the fit's out-of-bag errors
         _tree_sums(fit.center_trees, X[:pairs])
         _tree_sums(fit.center_trees, X)
-        assert paths_taken == ["_walk_sums", "_bitvector_sums"]
+        assert paths_taken == [("_walk_rows", 4), ("_bitvector_rows", 4)]
+
+    @pytest.mark.parametrize("group_trees", [1, 7])
+    def test_tables_built_by_group(self, monkeypatch, group_trees):
+        """Blocks of 3 trees on 5000 rows. Table groups of one block, or of 7 trees: trees 0-6
+        serve two blocks, and the third block, which runs past them, starts trees 6-11."""
+        fit = fit_forest(simulate(SimSetting(7, 300, 1)), ForestParams(n_trees=12, seed=2))
+        X = simulate(SimSetting(7, 5000, 2)).features()
+        assert max(1, _CHUNK_SAMPLES // X.shape[0]) == 3
+        for trees in (fit.center_trees, fit.radius_trees):
+            assert max(t.n_leaves for t in trees) <= 64
+            width = _pack(trees).pair_threshold.size + X.shape[1]
+            monkeypatch.setattr(forest, "_TABLE_WORDS", group_trees * width)
+            assert_paths_agree(trees, X)
 
     def test_feature_without_splits(self):
         rng = np.random.default_rng(7)
