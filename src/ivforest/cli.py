@@ -32,7 +32,7 @@ from .evaluate import (
     summary_csv,
     timings_csv,
 )
-from .frame import SplitSpec, load_csv, load_feature_csv, write_csv
+from .frame import SplitSpec, load_csv, load_feature_csv, split, write_csv
 from .kernel import KERNELS
 from .models import (MODELS, check_fit_settings, fit_model, fit_settings, model_from_json,
                      model_names, model_to_json, predict_features)
@@ -219,12 +219,13 @@ def cmd_bench(settings, sizes, reps, models, seed, train_fraction, trees, mtry, 
         frame = load_csv(real_path, response=response)
         if reps < 1:
             raise errors.ConfigError(f"reps must be >= 1, got {reps}")
-        model_names(model_list)
+        fits_forest = "rf" in model_names(model_list)  # which also checks the names
         resolve_workers(workers)  # checked as for the grid; the real split runs in one process
         fraction = 0.8 if train_fraction is None else train_fraction
         # checked before the out-dir is made, as ExperimentSpec checks the grid's settings
-        SplitSpec(fraction, mode=split_mode, seed=seed, train_count=train_count)
-        check_fit_settings(bandwidth, n_trees=trees, mtry=mtry, min_node=min_node)
+        split(frame, SplitSpec(fraction, mode=split_mode, seed=seed, train_count=train_count))
+        n_features = [frame.features().shape[1]] if fits_forest else []
+        check_fit_settings(bandwidth, n_features, n_trees=trees, mtry=mtry, min_node=min_node)
         out.mkdir(parents=True, exist_ok=True)  # before the fits, so a bad --out-dir fails fast
         reports, predictions = run_real_data(
             frame,

@@ -111,7 +111,10 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown setting {s}; choose from 1..7")
         if not (0.0 < self.train_fraction < 1.0):
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        check_fit_settings(self.bandwidth, n_trees=self.n_trees, mtry=self.mtry,
+        # a given mtry must fit the features of every setting when a forest is fitted
+        n_features = ([simulate(SimSetting(s, 2)).features().shape[1] for s in self.settings]
+                      if "rf" in self.models and self.mtry is not None else [])
+        check_fit_settings(self.bandwidth, n_features, n_trees=self.n_trees, mtry=self.mtry,
                            min_node=self.min_node)
 
 

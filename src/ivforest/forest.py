@@ -15,11 +15,13 @@ open nodes (none when every feature is a candidate). Tree t does not depend
 on how many trees the forest has.
 
 Prediction and out-of-bag errors sum leaf values through ``_tree_sums``,
-one tree at a time in tree order. It chooses a path per tree: trees of at
-most 64 leaves find their leaves by leaf bitvectors (QuickScorer: Lucchese
-et al., SIGIR 2015; Dato et al., ACM TOIS 35(2), 2016) when there are more
-rows than those trees have distinct (feature, threshold) pairs, and every
-other tree is walked; both paths give the same bytes.
+one tree at a time in tree order. It packs the ensemble once and hands
+``_sums`` a per-tree mask: trees of at most 64 leaves find their leaves by
+leaf bitvectors (QuickScorer: Lucchese et al., SIGIR 2015; Dato et al., ACM
+TOIS 35(2), 2016) when there are more rows than those trees have distinct
+(feature, threshold) pairs, and every other tree is walked. One loop over
+blocks of (tree, row) pairs serves both paths, which give the same bytes.
+A tree's leaves are numbered left to right from its subtrees' leaf counts.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ from .rng import stream
 
 # fit_forest grows trees together in chunks of this many (tree, bootstrap
 # row) samples, or one tree when a tree has more. Chunk boundaries fall at
-# fixed tree indices, so tree t never depends on n_trees. _tree_sums walks
-# trees in blocks of as many (tree, query row) pairs.
+# fixed tree indices, so tree t never depends on n_trees. _sums finds the
+# leaves of blocks of as many (tree, query row) pairs.
 _CHUNK_SAMPLES = 16_384
 
-# _bitvector_rows gives each tree one 64-bit word, a bit per leaf, and builds the tables of
-# as many trees at a time as hold about _TABLE_WORDS words
+# _sums gives each tree on leaf bitvectors one 64-bit word, a bit per leaf, and builds the
+# tables of as many such trees at a time as hold about _TABLE_WORDS words
 _WORD_BITS = 64
 _ALL_LEAVES = np.uint64(2**64 - 1)
 _TABLE_WORDS = 2**17
@@ -353,7 +355,8 @@ def fit_forest(train: IntervalFrame, params: ForestParams | None = None) -> Fore
 
 
 class _Nodes(NamedTuple):
-    """An ensemble's node arrays, concatenated in tree order, and its distinct thresholds."""
+    """An ensemble's node arrays, concatenated in tree order, and its word trees' distinct
+    thresholds."""
 
     trees: list[Tree]
     bounds: np.ndarray  # tree t holds nodes bounds[t] up to bounds[t + 1]
@@ -362,9 +365,10 @@ class _Nodes(NamedTuple):
     threshold: np.ndarray
     left: np.ndarray  # an index into the concatenation
     value: np.ndarray
-    pair_feature: np.ndarray  # the distinct (feature, threshold) pairs of split nodes, sorted
+    word: np.ndarray  # per tree, whether it has at most 64 leaves
+    pair_feature: np.ndarray  # the word trees' distinct (feature, threshold) pairs, sorted
     pair_threshold: np.ndarray
-    pair: np.ndarray  # each split node's pair, -1 at leaves
+    pair: np.ndarray  # each word tree split node's pair, -1 at other nodes
 
 
 def _pack(trees: list[Tree]) -> _Nodes:
@@ -375,7 +379,10 @@ def _pack(trees: list[Tree]) -> _Nodes:
         np.concatenate([getattr(t, key) for t in trees])
         for key in ("feature", "threshold", "left", "value")
     )
-    split = np.flatnonzero(feature >= 0)
+    # every split node has two children, so a tree of at most 127 nodes has at most 64 leaves;
+    # nodes that the root does not reach, which a model file may hold, only make a tree walk
+    word = np.array(sizes) < 2 * _WORD_BITS
+    split = np.flatnonzero((feature >= 0) & word[tree_of])
     split = split[np.argsort(threshold[split])]
     split = split[np.argsort(feature[split], kind="stable")]  # by feature, then threshold
     f, thr = feature[split], threshold[split]
@@ -384,7 +391,7 @@ def _pack(trees: list[Tree]) -> _Nodes:
     pair = np.full(feature.size, -1, dtype=np.int64)
     pair[split] = np.cumsum(new) - 1
     return _Nodes(trees, bounds, tree_of, feature, threshold, left + bounds[tree_of], value,
-                  f[new], thr[new], pair)
+                  word, f[new], thr[new], pair)
 
 
 def _tree_sums(
@@ -393,54 +400,72 @@ def _tree_sums(
     """Per row of ``X``, its leaf values summed in tree order and how many trees counted it.
 
     With ``out_of_bag``, ``X`` holds the training rows and a tree counts only rows outside its
-    bootstrap. Two paths find each (tree, row) pair's leaf and give the same bytes, and each
-    tree takes one of them:
-
-    - ``_bitvector_rows``, leaf bitvectors after QuickScorer (Lucchese et al., SIGIR 2015;
-      Dato et al., ACM TOIS 35(2), 2016): one 64-bit word per tree, ANDed from per-feature
-      tables of split masks. The trees of at most 64 leaves, the word trees, take it when ``X``
-      has more rows than they have distinct (feature, threshold) pairs: the tables hold a word
-      per word tree and pair, so they pay for themselves only over more rows than pairs, and
-      trees of more leaves would need several words each.
-    - ``_walk_rows`` for every other tree: blocks of (tree, row) pairs step down the trees'
-      node arrays.
+    bootstrap. ``_sums`` finds each (tree, row) pair's leaf by one of two paths that give the
+    same bytes, and a per-tree mask picks the path: leaf bitvectors for the trees of at most
+    64 leaves, the word trees, when ``X`` has more rows than they have distinct (feature,
+    threshold) pairs, and the walk for every other tree. The tables hold a word per word tree
+    and pair, so they pay for themselves only over more rows than pairs, and trees of more
+    leaves would need several words each.
     """
-    # every split node has two children, so a tree of at most 127 nodes has at most 64 leaves;
-    # nodes that the root does not reach, which a model file may hold, only make a tree walk
-    is_word = [tree.feature.size < 2 * _WORD_BITS for tree in trees]
-    paths = {}
-    for word in (True, False):
-        if word not in is_word:
-            continue
-        nodes = _pack([tree for tree, w in zip(trees, is_word) if w == word])
-        bitvectors = word and X.shape[0] > nodes.pair_threshold.size
-        paths[word] = (_bitvector_rows if bitvectors else _walk_rows)(nodes, X, out_of_bag)
-    return _in_tree_order(X.shape[0], [paths[word] for word in is_word])
+    nodes = _pack(trees)
+    return _sums(nodes, X, nodes.word & (X.shape[0] > nodes.pair_threshold.size), out_of_bag)
 
 
-def _in_tree_order(n: int, sources: list) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, its leaf values summed one tree at a time in tree order, and its count.
+def _sums(
+    nodes: _Nodes, X: np.ndarray, bits: np.ndarray, out_of_bag: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_tree_sums`` with tree t on leaf bitvectors where ``bits[t]`` and walked elsewhere;
+    a tree in ``bits`` must have at most 64 leaves.
 
-    Tree t's leaf values over the ``n`` rows, and the rows it counts, are the next pair that
-    ``sources[t]`` yields. A path yields its own trees' pairs in their order, so trees that
-    share a path share its iterator.
+    Blocks of about ``_CHUNK_SAMPLES`` (tree, row) pairs find their leaves, and each block's
+    rows are then added one tree at a time in tree order.
+
+    - The walk: a pair steps from split node ``i`` to ``left[i] + (x > threshold[i])``, its
+      right child when ``x > threshold[i]``. A block whose trees all take bitvectors skips it.
+    - Leaf bitvectors, after QuickScorer (Lucchese et al., SIGIR 2015; Dato et al., ACM TOIS
+      35(2), 2016): bit k of a tree's 64-bit word stands for its k-th leaf from the left. A
+      split node clears the bits of its left subtree's leaves when ``x > threshold``. Feature
+      f's table holds, per tree and per count r of f's distinct thresholds below x, the AND of
+      the masks of the nodes on those r thresholds. ``searchsorted(thresholds, x, "left")``
+      counts the thresholds below x, the nodes where the walk goes right. A row ANDs one table
+      entry per feature, and its leaf is the lowest bit left set: each leaf to its left lies in
+      the left subtree of a node where the walk goes right, and no node on the row's own path
+      clears it. Tables have a line per tree in ``bits``, by rank among those trees; they are
+      built for about ``_TABLE_WORDS`` words of trees at a time, or one block's trees if those
+      take more, when a block first needs them.
     """
+    n, m = X.shape
+    n_trees = len(nodes.trees)
+    rank = np.cumsum(bits) - bits  # of each tree among the trees in bits
+    one = np.uint64(1)
+    if bits.any():
+        first = _first_leaves(nodes, nodes.bounds[np.flatnonzero(bits)])
+        reached = first >= 0
+        split = np.flatnonzero(reached & (nodes.feature >= 0))
+        leaf = np.flatnonzero(reached & (nodes.feature < 0))
+        # split node s clears leaves first[s] up to first[right child], its left subtree
+        mask = ~((one << first[nodes.left[split] + 1].astype(np.uint64))
+                 - (one << first[split].astype(np.uint64)))
+        # feature f's columns are starts[f] + f, no threshold below x, up to starts[f + 1] + f
+        starts = np.searchsorted(nodes.pair_feature, np.arange(m + 1))
+        split_rank = rank[nodes.tree_of[split]]
+        split_column = nodes.pair[split] + nodes.feature[split] + 1
+        spans, columns = [], []
+        for f in np.unique(nodes.pair_feature).tolist():
+            a, b = starts[f] + f, starts[f + 1] + f + 1
+            spans.append(slice(a, b))
+            below = np.searchsorted(nodes.pair_threshold[starts[f] : starts[f + 1]], X[:, f],
+                                    "left")
+            columns.append(a + np.where(np.isnan(X[:, f]), 0, below))  # nan > threshold is false
+        # the k-th leaf from the left of the tree of rank t at t * 64 + k
+        n_words = int(bits.sum())
+        leaf_value = np.zeros(n_words * _WORD_BITS)
+        leaf_value[rank[nodes.tree_of[leaf]] * _WORD_BITS + first[leaf]] = nodes.value[leaf]
+        width = nodes.pair_threshold.size + m
+        first_rank, table = 0, np.empty((0, width), dtype=np.uint64)  # the current group's
+    Xt = X.T.ravel()  # X[r, f] is Xt[f * n + r]
     total = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
-    for source in sources:
-        leaf, mask = next(source)
-        np.add(total, leaf, out=total, where=mask)
-        counts += mask
-    return total, counts
-
-
-def _by_block(nodes: _Nodes, n: int, out_of_bag: bool, leaf_values):
-    """Each tree's leaf values over ``n`` rows and the rows it counts, in tree order.
-
-    ``leaf_values(start, stop, counted)`` gives the leaf value of every (tree, row) pair of
-    trees ``start`` up to ``stop``, a block of about ``_CHUNK_SAMPLES`` pairs.
-    """
-    n_trees = len(nodes.trees)
     per_block = max(1, _CHUNK_SAMPLES // max(1, n))
     for start in range(0, n_trees, per_block):
         stop = min(start + per_block, n_trees)
@@ -448,140 +473,70 @@ def _by_block(nodes: _Nodes, n: int, out_of_bag: bool, leaf_values):
         if out_of_bag:
             for i, tree in enumerate(nodes.trees[start:stop]):
                 counted[i, tree.bootstrap] = False
-        yield from zip(leaf_values(start, stop, counted), counted)
+        word = bits[start:stop]
+        if word.all():
+            values = np.empty((stop - start, n))
+        else:
+            lo, hi = nodes.bounds[start], nodes.bounds[stop]
+            feature, threshold, value = (
+                a[lo:hi] for a in (nodes.feature, nodes.threshold, nodes.value)
+            )
+            left = nodes.left[lo:hi] - lo
+            inner = feature >= 0
+            # pair b * n + r of tree start + b and row r finds X[r, f] at pair + (f - b) * n in Xt
+            offset = (feature - (nodes.tree_of[lo:hi] - start)) * n
+            node = np.repeat(nodes.bounds[start:stop] - lo, n)  # each pair starts at its root
+            active = np.flatnonzero((counted & ~word[:, None]).ravel() & inner[node])
+            while active.size:
+                at = node[active]
+                step = left[at] + (Xt[offset[at] + active] > threshold[at])
+                node[active] = step
+                active = active[inner[step]]
+            values = value[node].reshape(stop - start, n)
+        if word.any():
+            r0, r1 = rank[start], rank[start] + word.sum()  # the ranks of the block's trees in bits
+            if r1 > first_rank + len(table):
+                end = min(n_words, max(r1, r0 + _TABLE_WORDS // width))
+                first_rank, table = r0, np.full((end - r0, width), _ALL_LEAVES)
+                a, b = np.searchsorted(split_rank, [r0, end])
+                np.bitwise_and.at(table, (split_rank[a:b] - r0, split_column[a:b]), mask[a:b])
+                for span in spans:
+                    np.bitwise_and.accumulate(table[:, span], axis=1, out=table[:, span])
+            words = np.full((r1 - r0, n), _ALL_LEAVES)
+            for col in columns:
+                words &= table[r0 - first_rank : r1 - first_rank, col]
+            # words ^ (words - 1) holds the lowest set bit and the bits below it
+            values[word] = leaf_value[_WORD_BITS * np.arange(r0, r1)[:, None] - 1
+                                      + np.bitwise_count(words ^ (words - one))]
+        for row, kept in zip(values, counted):
+            np.add(total, row, out=total, where=kept)
+            counts += kept
+    return total, counts
 
 
-def _walk_sums(nodes: _Nodes, X: np.ndarray, out_of_bag: bool = False):
-    """``_tree_sums`` with every tree walked."""
-    return _in_tree_order(X.shape[0], [_walk_rows(nodes, X, out_of_bag)] * len(nodes.trees))
+def _first_leaves(nodes: _Nodes, roots: np.ndarray) -> np.ndarray:
+    """Per node of the trees with the given roots, the place among its tree's leaves, left to
+    right, of its subtree's leftmost leaf; -1 at other nodes and at nodes that their root does
+    not reach. The trees must have at most 64 leaves.
 
-
-def _bitvector_sums(nodes: _Nodes, X: np.ndarray, out_of_bag: bool = False):
-    """``_tree_sums`` with every tree on leaf bitvectors; trees must have at most 64 leaves."""
-    return _in_tree_order(X.shape[0], [_bitvector_rows(nodes, X, out_of_bag)] * len(nodes.trees))
-
-
-def _walk_rows(nodes: _Nodes, X: np.ndarray, out_of_bag: bool):
-    """The trees' rows for ``_in_tree_order``, found by walking each block's counted (tree, row)
-    pairs down its trees.
-
-    A pair steps from split node ``i`` to ``left[i] + (x > threshold[i])``, its right child
-    when ``x > threshold[i]``.
+    A pass per depth level collects each level's split nodes. Counting each subtree's leaves
+    bottom up, then numbering top down, gives a left child its parent's first leaf and a right
+    child that place plus its sibling's leaf count.
     """
-    n = X.shape[0]
-    Xt = X.T.ravel()  # X[r, f] is Xt[f * n + r]
-
-    def leaf_values(start, stop, counted):
-        lo, hi = nodes.bounds[start], nodes.bounds[stop]
-        feature, threshold, value = (
-            a[lo:hi] for a in (nodes.feature, nodes.threshold, nodes.value)
-        )
-        left = nodes.left[lo:hi] - lo
-        inner = feature >= 0
-        # pair b * n + r of tree b and row r finds X[r, f] at pair + (f - b) * n in Xt
-        offset = (feature - (nodes.tree_of[lo:hi] - start)) * n
-        node = np.repeat(nodes.bounds[start:stop] - lo, n)  # each pair starts at its tree's root
-        active = np.flatnonzero(counted.ravel() & inner[node])
-        while active.size:
-            at = node[active]
-            step = left[at] + (Xt[offset[at] + active] > threshold[at])
-            node[active] = step
-            active = active[inner[step]]
-        return value[node].reshape(stop - start, n)
-
-    return _by_block(nodes, n, out_of_bag, leaf_values)
-
-
-def _bitvector_rows(nodes: _Nodes, X: np.ndarray, out_of_bag: bool):
-    """The trees' rows for ``_in_tree_order``, found by leaf bitvectors (QuickScorer); trees
-    must have at most 64 leaves.
-
-    Bit k of a tree's word stands for its k-th leaf from the left. A split node clears the
-    bits of its left subtree's leaves when ``x > threshold``. Feature f's table holds, per tree
-    and per count r of f's distinct thresholds below x, the AND of the masks of the nodes on
-    those r thresholds. ``searchsorted(thresholds, x, "left")`` counts the thresholds below x,
-    the nodes where the walk's ``x > threshold`` goes right. A row ANDs one table entry per
-    feature, and its leaf is the lowest bit left set: each leaf to its left lies in the left
-    subtree of a node where the walk goes right, and no node on the row's own path clears it.
-
-    The tables of a group of trees are built when a block first needs them, so that they
-    take about ``_TABLE_WORDS`` words at a time, or one block's trees if those take more.
-    """
-    n, m = X.shape
-    n_trees = len(nodes.trees)
-    first = _first_leaves(nodes)
-    reached = first >= 0
-    split = np.flatnonzero(reached & (nodes.feature >= 0))
-    leaf = np.flatnonzero(reached & (nodes.feature < 0))
-    # split node s clears leaves first[s] up to first[right child], its left subtree
-    one = np.uint64(1)
-    mask = ~((one << first[nodes.left[split] + 1].astype(np.uint64))
-             - (one << first[split].astype(np.uint64)))
-    # feature f's columns are starts[f] + f, no threshold below x, up to starts[f + 1] + f
-    starts = np.searchsorted(nodes.pair_feature, np.arange(m + 1))
-    split_tree, split_column = nodes.tree_of[split], nodes.pair[split] + nodes.feature[split] + 1
-    spans, columns = [], []
-    for f in np.unique(nodes.pair_feature).tolist():
-        a, b = starts[f] + f, starts[f + 1] + f + 1
-        spans.append(slice(a, b))
-        below = np.searchsorted(nodes.pair_threshold[starts[f] : starts[f + 1]], X[:, f], "left")
-        columns.append(a + np.where(np.isnan(X[:, f]), 0, below))  # nan > threshold is false
-    # tree t's k-th leaf from the left at t * 64 + k
-    leaf_value = np.zeros(n_trees * _WORD_BITS)
-    leaf_value[nodes.tree_of[leaf] * _WORD_BITS + first[leaf]] = nodes.value[leaf]
-    word_start = _WORD_BITS * np.arange(n_trees)[:, None] - 1
-    width = nodes.pair_threshold.size + m
-    first_tree, table = 0, np.empty((0, width), dtype=np.uint64)  # the current group's
-
-    def leaf_values(start, stop, counted):
-        nonlocal first_tree, table
-        if stop > first_tree + len(table):
-            end = min(n_trees, max(stop, start + _TABLE_WORDS // width))
-            first_tree, table = start, np.full((end - start, width), _ALL_LEAVES)
-            lo, hi = np.searchsorted(split_tree, [start, end])
-            np.bitwise_and.at(table, (split_tree[lo:hi] - start, split_column[lo:hi]),
-                              mask[lo:hi])
-            for span in spans:
-                np.bitwise_and.accumulate(table[:, span], axis=1, out=table[:, span])
-        word = np.full((stop - start, n), _ALL_LEAVES)
-        for col in columns:
-            word &= table[start - first_tree : stop - first_tree, col]
-        # word ^ (word - 1) holds the lowest set bit and the bits below it
-        return leaf_value[word_start[start:stop] + np.bitwise_count(word ^ (word - one))]
-
-    return _by_block(nodes, n, out_of_bag, leaf_values)
-
-
-def _first_leaves(nodes: _Nodes) -> np.ndarray:
-    """Per node, the place among its tree's leaves, left to right, of its subtree's leftmost
-    leaf; -1 at nodes that their root does not reach. Trees must have at most 64 leaves.
-
-    One pass per depth level gives each node its depth and its path from the root, one bit
-    per step (1 for right). A parent precedes its children, so a stable sort by tree, then by
-    path padded with zeros to the deepest level, lists the nodes depth first, left subtree
-    first; the leaves before a node in that order are those left of its subtree.
-    """
-    feature, left, roots = nodes.feature, nodes.left, nodes.bounds[:-1]
-    is_split = feature >= 0
-    depth = np.full(feature.size, -1, dtype=np.int64)
-    path = np.zeros(feature.size, dtype=np.uint64)
-    depth[roots] = 0
-    inner = roots[is_split[roots]]
-    while inner.size:
-        kids = left[inner]
-        depth[kids] = depth[kids + 1] = depth[inner] + 1
-        path[kids] = path[inner] << 1
-        path[kids + 1] = path[kids] | 1
-        kids = np.concatenate([kids, kids + 1])
-        inner = kids[is_split[kids]]
-    reached = np.flatnonzero(depth >= 0)
-    d = depth[reached]
-    padded = path[reached] << (d.max() - d).astype(np.uint64)
-    order = reached[np.lexsort((padded, nodes.tree_of[reached]))]
-    is_leaf = ~is_split[order]
+    feature, left = nodes.feature, nodes.left
+    leaves = (feature < 0).astype(np.int64)
+    levels, level = [], roots
+    while level.size:
+        level = level[feature[level] >= 0]
+        levels.append(level)
+        level = np.concatenate([left[level], left[level] + 1])
+    for inner in reversed(levels):
+        leaves[inner] = leaves[left[inner]] + leaves[left[inner] + 1]
     first = np.full(feature.size, -1, dtype=np.int64)
-    first[order] = np.cumsum(is_leaf) - is_leaf
-    first[order] -= first[roots][nodes.tree_of[order]]
+    first[roots] = 0
+    for inner in levels:
+        first[left[inner]] = first[inner]
+        first[left[inner] + 1] = first[inner] + leaves[left[inner]]
     return first
 
 

@@ -11,6 +11,7 @@ is the model's own body.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -54,12 +55,16 @@ def fit_model(name: str, train: IntervalFrame, seed: int = 0, kernel: str = "gau
     raise ConfigError(f"unknown model {name!r}; choose from {', '.join(MODELS)}")
 
 
-def check_fit_settings(bandwidth: float | None = None, **forest_params) -> None:
+def check_fit_settings(bandwidth: float | None = None, n_features: Iterable[int] = (),
+                       **forest_params) -> None:
     """Raise ConfigError for a fixed bandwidth or a forest setting that :func:`fit_model`
-    would reject, so that a run can check them before it fits or writes anything."""
+    would reject on data of each feature count in ``n_features``, so that a run can check
+    them before it fits or writes anything."""
     if bandwidth is not None:
         check_bandwidth(bandwidth)
-    ForestParams(**forest_params)
+    params = ForestParams(**forest_params)
+    for m in n_features:
+        params.resolved_mtry(m)
 
 
 def predict_model(fit, test: IntervalFrame) -> PredictionSet:

@@ -321,6 +321,19 @@ class TestBenchCommand:
                    flag, "0", "--workers", "1", "--out-dir", str(tmp_path / "bb")) == 2
         assert not (tmp_path / "bb").exists()
 
+    def test_mtry_above_features_leaves_no_out_dir(self, tmp_path):
+        """Setting 1 has one predictor, so two features."""
+        assert run("bench", "--settings", "1", "--sizes", "200", "--reps", "1", "--models", "rf",
+                   "--mtry", "5", "--workers", "1", "--out-dir", str(tmp_path / "c")) == 2
+        assert not (tmp_path / "c").exists()
+
+    def test_mtry_is_checked_only_with_rf(self, tmp_path):
+        assert run("bench", "--settings", "1", "--sizes", "120", "--reps", "1", "--models", "ccrm",
+                   "--mtry", "5", "--workers", "1", "--out-dir", str(tmp_path / "grid")) == 0
+        data = simulate_csv(tmp_path, setting=5, n=150)
+        assert run("bench", "--real", str(data), "--models", "ccrm", "--mtry", "50",
+                   "--out-dir", str(tmp_path / "real")) == 0
+
     @pytest.mark.parametrize("flags, env", [(["--workers", "0"], {}), ([], {"IVF_THREADS": "-1"})],
                              ids=["--workers 0", "IVF_THREADS=-1"])
     def test_worker_count_below_one_leaves_no_out_dir(self, tmp_path, monkeypatch, flags, env):
@@ -377,6 +390,8 @@ class TestBenchCommand:
         (["--models", "rf", "--trees", "0"], 2),
         (["--min-node", "0"], 2),
         (["--train-fraction", "1.5"], 3),
+        (["--models", "ccrm", "--train-count", "500"], 3),
+        (["--models", "rf", "--mtry", "50"], 2),
     ], ids=lambda flags: " ".join(flags) if isinstance(flags, list) else None)
     def test_real_mode_checks_inputs_before_out_dir(self, tmp_path, flags, code):
         data = simulate_csv(tmp_path, setting=5, n=150)

@@ -13,11 +13,10 @@ from ivforest.forest import (
     _TREE_ARRAYS,
     ForestParams,
     Tree,
-    _bitvector_sums,
     _pack,
+    _sums,
     _tree_problem,
     _tree_sums,
-    _walk_sums,
     best_split,
     fit_forest,
     forest_from_json,
@@ -529,10 +528,15 @@ class TestTraversal:
             assert oob[component]["mse"] == float(np.mean(resid**2))
 
 
+def walk_sums(trees, X, out_of_bag=False):
+    """``_sums`` with every tree walked."""
+    return _sums(_pack(trees), X, np.zeros(len(trees), dtype=bool), out_of_bag)
+
+
 def assert_paths_agree(trees, X, out_of_bag=False):
     """The walk and the leaf bitvectors give the same totals and counts, byte for byte."""
-    nodes = _pack(trees)
-    walk, bits = _walk_sums(nodes, X, out_of_bag), _bitvector_sums(nodes, X, out_of_bag)
+    walk = walk_sums(trees, X, out_of_bag)
+    bits = _sums(_pack(trees), X, np.ones(len(trees), dtype=bool), out_of_bag)
     for a, b in zip(walk, bits):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     return walk
@@ -558,13 +562,15 @@ def chain_tree(n_leaves, deep_right, n_rows):
 
 @pytest.fixture
 def paths_taken(monkeypatch):
-    """The paths that ``_tree_sums`` takes, in call order, each with how many trees it took."""
+    """The per-tree masks that ``_tree_sums`` hands to ``_sums``, in call order: True where a
+    tree takes leaf bitvectors, False where it walks."""
     taken = []
-    for name in ("_walk_rows", "_bitvector_rows"):
-        def record(nodes, *args, _name=name, _fn=getattr(forest, name)):
-            taken.append((_name, len(nodes.trees)))
-            return _fn(nodes, *args)
-        monkeypatch.setattr(forest, name, record)
+
+    def record(nodes, X, bits, *args, _sums=forest._sums):
+        taken.append(bits.tolist())
+        return _sums(nodes, X, bits, *args)
+
+    monkeypatch.setattr(forest, "_sums", record)
     return taken
 
 
@@ -627,13 +633,13 @@ class TestLeafBitvectors:
         assert_paths_agree(trees, X, out_of_bag=True)
         paths_taken.clear()
         got = _tree_sums(trees, X)
-        assert paths_taken == [("_bitvector_rows", 2)]
+        assert paths_taken == [[True, True]]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(walk, got))
         trees.append(chain_tree(65, deep_right, 500))
-        walk = _walk_sums(_pack(trees), X)
+        walk = walk_sums(trees, X)
         paths_taken.clear()
         got = _tree_sums(trees, X)
-        assert paths_taken == [("_bitvector_rows", 2), ("_walk_rows", 1)]
+        assert paths_taken == [[True, True, False]]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(walk, got))
 
     @pytest.mark.parametrize("order", ["Bsss", "sBsB", "ssBs", "sssB"])
@@ -646,25 +652,48 @@ class TestLeafBitvectors:
         big = iter(scaled(chain_tree(65 + i, i == 0, n), (-1) ** i * 1e16) for i in range(2))
         trees = [next(big) if c == "B" else next(small) for c in order]
         for rows, out_of_bag in ((X, False), (X, True), (X[:0], False)):
-            want = _walk_sums(_pack(trees), rows, out_of_bag)
+            want = walk_sums(trees, rows, out_of_bag)
             paths_taken.clear()
             assert_same_bytes(_tree_sums(trees, rows, out_of_bag), want)
-            words, others = order.count("s"), order.count("B")
-            path = "_bitvector_rows" if rows.shape[0] else "_walk_rows"
-            assert paths_taken == [(path, words), ("_walk_rows", others)]
+            assert paths_taken == [[c == "s" and rows.shape[0] > 0 for c in order]]
 
     def test_mixed_ensemble_rows_against_word_tree_pairs(self, paths_taken):
         """Only the word trees' pairs count: rows equal to them walk every tree, one more row
         takes bitvectors for the word trees."""
         trees = [chain_tree(20, True, 100), chain_tree(70, False, 100), chain_tree(9, False, 100)]
-        pairs = _pack([trees[0], trees[2]]).pair_threshold.size
-        assert pairs < _pack(trees).pair_threshold.size
+        pairs = _pack(trees).pair_threshold.size
+        assert pairs == _pack([trees[0], trees[2]]).pair_threshold.size
+        every_pair = {(f, t) for tree in trees for f, t in zip(tree.feature, tree.threshold)
+                      if f >= 0}
+        assert pairs < len(every_pair)
         X = np.random.default_rng(5).uniform(-1.5, 1.5, (pairs + 1, 2))
-        for rows, path in ((X[:pairs], "_walk_rows"), (X, "_bitvector_rows")):
-            want = _walk_sums(_pack(trees), rows)
+        for rows, word in ((X[:pairs], False), (X, True)):
+            want = walk_sums(trees, rows)
             paths_taken.clear()
             assert_same_bytes(_tree_sums(trees, rows), want)
-            assert paths_taken == [(path, 2), ("_walk_rows", 1)]
+            assert paths_taken == [[word, False, word]]
+
+    def test_blocks_that_start_on_a_walked_tree(self, monkeypatch, paths_taken):
+        """Blocks of 3 trees on 5000 rows, of which trees of 65-66 leaves (B) open the second
+        and fourth. A table group holds 4 word trees: the first and third blocks build one each,
+        the second and fourth read its second half, and the fifth builds a third."""
+        n = 5000
+        assert max(1, _CHUNK_SAMPLES // n) == 3
+        X = np.random.default_rng(6).uniform(-1.5, 1.5, (n, 2))
+        order = "sBs" "Bss" "sBs" "Bss" "s"
+        # chains share their first splits, so each small tree gets its own leaf values
+        small = iter(scaled(chain_tree(3 + k, k % 2 == 0, n), k + 1)
+                     for k in range(order.count("s")))
+        big = iter(scaled(chain_tree(65 + i % 2, i % 2 == 0, n), (-1) ** i * 1e16)
+                   for i in range(order.count("B")))
+        trees = [next(big) if c == "B" else next(small) for c in order]
+        width = _pack(trees).pair_threshold.size + X.shape[1]
+        monkeypatch.setattr(forest, "_TABLE_WORDS", 4 * width)
+        for rows, out_of_bag in ((X, False), (X, True)):
+            want = walk_sums(trees, rows, out_of_bag)
+            paths_taken.clear()
+            assert_same_bytes(_tree_sums(trees, rows, out_of_bag), want)
+            assert paths_taken == [[c == "s" for c in order]]
 
     def test_grown_mixed_forest_matches_walk(self, monkeypatch, paths_taken):
         """Setting 7 on 400 rows grows trees on both sides of 64 leaves."""
@@ -677,10 +706,10 @@ class TestLeafBitvectors:
         paths_taken.clear()
         pred, oob = predict_forest_rows(fit, X), oob_error(fit, frame)
         # prediction takes bitvectors for the word trees; 400 out-of-bag rows walk every tree
-        assert [name for name, _ in paths_taken] == ["_bitvector_rows", "_walk_rows"] * 2 + [
-            "_walk_rows"] * 4
-        monkeypatch.setattr(forest, "_tree_sums", lambda trees, X, out_of_bag=False:
-                            _walk_sums(_pack(trees), X, out_of_bag))
+        words = [[t.n_leaves <= 64 for t in fit.center_trees],
+                 [t.n_leaves <= 64 for t in fit.radius_trees]]
+        assert paths_taken == words + [[False] * 40] * 2
+        monkeypatch.setattr(forest, "_tree_sums", walk_sums)
         walked = predict_forest_rows(fit, X)
         assert pred.center.tobytes() == walked.center.tobytes()
         assert pred.radius.tobytes() == walked.radius.tobytes()
@@ -704,7 +733,7 @@ class TestLeafBitvectors:
         paths_taken.clear()  # of the fit's out-of-bag errors
         _tree_sums(fit.center_trees, X[:pairs])
         _tree_sums(fit.center_trees, X)
-        assert paths_taken == [("_walk_rows", 4), ("_bitvector_rows", 4)]
+        assert paths_taken == [[False] * 4, [True] * 4]
 
     @pytest.mark.parametrize("group_trees", [1, 7])
     def test_tables_built_by_group(self, monkeypatch, group_trees):
@@ -757,5 +786,5 @@ class TestLeafBitvectors:
                               (again.radius_trees, fit.radius_trees)):
             for out_of_bag, rows in ((False, X), (True, frame.features())):
                 got = assert_paths_agree(loaded, rows, out_of_bag)
-                want = _walk_sums(_pack(grown), rows, out_of_bag)
+                want = walk_sums(grown, rows, out_of_bag)
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

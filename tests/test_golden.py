@@ -1,0 +1,92 @@
+"""The behaviour contract: regenerated outputs against the committed copies in ``golden/``.
+
+The copies are a bench grid's ``results.csv`` and ``summary.csv`` and the ``ivf predict`` CSV
+of a setting-7 forest whose prediction takes both leaf bitvectors and the walk. On the numpy
+version recorded in ``golden/numpy-version`` they must match byte for byte. numpy's SIMD
+reductions can differ by an ulp across releases, so on any other version every field that
+parses as a number must match to a relative 1e-12 and every other field exactly.
+
+Regenerate the copies with ``PYTHONPATH=src python tests/test_golden.py``, and say in the
+change log which bytes moved and why.
+"""
+
+import csv
+import math
+from pathlib import Path
+
+import numpy as np
+
+from ivforest import forest
+from ivforest.cli import main
+from ivforest.models import fit_model, model_to_json
+from ivforest.simulate import SimSetting, simulate
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH = ["bench", "--settings", "1-7", "--sizes", "200,1000", "--reps", "2", "--models",
+         "ccrm,ke,rf", "--trees", "20", "--seed", "31337", "--workers", "1"]
+REL_TOL = 1e-12
+
+
+def golden_outputs(workdir: Path) -> dict:
+    """Run the contract's commands in ``workdir``; returns each golden file's regenerated path."""
+    assert main([*BENCH, "--out-dir", str(workdir / "bench")]) == 0
+    # setting 7 draws negative response radii, which `ivf fit` rejects as inverted bounds,
+    # so the forest is fitted here and only the prediction goes through the CLI
+    fit = fit_model("rf", simulate(SimSetting(7, 400, 1)), 7, n_trees=20)
+    (workdir / "rf.json").write_text(model_to_json(fit), encoding="utf-8")
+    queries = workdir / "queries.csv"
+    assert main(["simulate", "--setting", "7", "--n", "1200", "--seed", "3",
+                 "--out", str(queries)]) == 0
+    assert main(["predict", "--model-file", str(workdir / "rf.json"), "--in", str(queries),
+                 "--out", str(workdir / "predict_rf_setting7.csv")]) == 0
+    return {
+        "results.csv": workdir / "bench" / "results.csv",
+        "summary.csv": workdir / "bench" / "summary.csv",
+        "predict_rf_setting7.csv": workdir / "predict_rf_setting7.csv",
+    }
+
+
+def fields_match(got: str, want: str) -> bool:
+    try:
+        a, b = float(got), float(want)
+    except ValueError:
+        return got == want
+    return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=REL_TOL, abs_tol=0.0)
+
+
+def test_outputs_match_golden(tmp_path, monkeypatch):
+    masks = []
+
+    def record(nodes, X, bits, *args, _sums=forest._sums):
+        masks.append(bits.tolist())
+        return _sums(nodes, X, bits, *args)
+
+    monkeypatch.setattr(forest, "_sums", record)
+    outputs = golden_outputs(tmp_path)
+    # the prediction's two calls, one per component, each mix both paths
+    assert all(True in mask and False in mask for mask in masks[-2:])
+
+    recorded = (GOLDEN / "numpy-version").read_text(encoding="utf-8").strip()
+    exact = np.__version__ == recorded
+    print(f"golden comparison: {'exact bytes' if exact else f'numbers to rel {REL_TOL}'} "
+          f"(numpy {np.__version__}, recorded {recorded})")
+    for name, path in outputs.items():
+        got, want = path.read_bytes(), (GOLDEN / name).read_bytes()
+        if exact:
+            assert got == want, name
+            continue
+        got_rows = list(csv.reader(got.decode("utf-8").splitlines()))
+        want_rows = list(csv.reader(want.decode("utf-8").splitlines()))
+        assert len(got_rows) == len(want_rows), name
+        for i, (g, w) in enumerate(zip(got_rows, want_rows)):
+            assert len(g) == len(w) and all(map(fields_match, g, w)), f"{name} line {i + 1}"
+
+
+if __name__ == "__main__":
+    import shutil
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, path in golden_outputs(Path(tmp)).items():
+            shutil.copyfile(path, GOLDEN / name)
+    (GOLDEN / "numpy-version").write_text(np.__version__ + "\n", encoding="utf-8")
