@@ -52,7 +52,9 @@ _DATA_ERRORS = (
 )
 # OSError: an output path that cannot be written, such as one under a file
 _CONFIG_ERRORS = (errors.ConfigError, errors.UnknownSettingError, OSError)
-_NUMERIC_ERRORS = (errors.NumericError, errors.UnderdeterminedError, errors.OOBUnavailableError)
+# FloatingPointError: main() makes overflow an error, which finite input such as 1e308 can cause
+_NUMERIC_ERRORS = (errors.NumericError, errors.UnderdeterminedError, errors.OOBUnavailableError,
+                   FloatingPointError)
 
 
 def _version() -> str:
@@ -322,7 +324,8 @@ def cmd_plot(kind, in_path, truth_path, pred_path, response, out_path):
 def main(argv=None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
-        cli.main(args=argv, standalone_mode=False)
+        with np.errstate(all="raise", under="ignore"):
+            cli.main(args=argv, standalone_mode=False)
         return 0
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)

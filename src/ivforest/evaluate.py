@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateTruthError, DimensionError, EmptySampleError, ParseError
-from .frame import IntervalFrame, SplitSpec, split
+from .frame import IntervalFrame, SplitSpec, read_table, split
 from .linear import PredictionSet
 from .models import MODELS, check_fit_settings, fit_model, model_names, predict_model
 from .rng import derive_seed
@@ -275,31 +275,19 @@ def predictions_csv(pred: PredictionSet) -> str:
 
 
 def read_predictions_csv(path) -> PredictionSet:
-    import csv as _csv
+    """Read :func:`predictions_csv`'s layout through :func:`frame.read_table`."""
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != PREDICTIONS_HEADER.split(","):
+    def check_header(header):
+        if header != PREDICTIONS_HEADER.split(","):
             raise ConfigError(f"{path}: expected header {PREDICTIONS_HEADER!r}")
-        bounds, flags = [], []
-        for lineno, raw in enumerate(reader, start=1):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            if len(raw) != 3:
-                raise ParseError(f"{path}: row {lineno} has {len(raw)} cells, expected 3")
-            try:
-                lo_hi, flag = (float(raw[0]), float(raw[1])), int(raw[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}: row {lineno}: {exc}") from None
-            if not np.all(np.isfinite(lo_hi)):
-                raise ParseError(f"{path}: row {lineno}: bounds must be finite, got {raw[:2]}")
-            if flag not in (0, 1):
-                raise ParseError(f"{path}: row {lineno}: 'incoherent' must be 0 or 1, got {flag}")
-            bounds.append(lo_hi)
-            flags.append(flag == 1)
-    lo, hi = np.asarray(bounds, dtype=float).reshape(-1, 2).T
-    return PredictionSet(0.5 * (lo + hi), 0.5 * (hi - lo), np.asarray(flags, dtype=bool))
+
+    _, data, rows = read_table(path, check_header)
+    lo, hi, flag = data.T
+    bad = np.nonzero((flag != 0) & (flag != 1))[0]
+    if bad.size:
+        i = bad[0]
+        raise ParseError(f"{path}: row {rows[i]}: 'incoherent' must be 0 or 1, got {flag[i]:g}")
+    return PredictionSet(0.5 * (lo + hi), 0.5 * (hi - lo), flag == 1)
 
 
 def run_real_data(

@@ -10,7 +10,9 @@ are surfaced by :func:`coherence_report`, never clamped.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -103,69 +105,79 @@ class CoherenceReport:
     rows: list[int] = field(default_factory=list)
 
 
-def _pair_columns(header: list[str]) -> list[str]:
-    """Validate the *_L/*_U pairing and return variable names in file order."""
-    names: list[str] = []
-    seen: dict[str, set[str]] = {}
-    for col in header:
-        if col.endswith("_L") or col.endswith("_U"):
-            base, side = col[:-2], col[-1]
-        else:
+def _pair_columns(header: list[str]) -> dict[str, tuple[int, int]]:
+    """Validate the *_L/*_U pairing; each variable's (lower, upper) column, in file order."""
+    pairs: dict[str, dict[str, int]] = {}
+    for i, col in enumerate(header):
+        if not col.endswith(("_L", "_U")):
             raise ParseError(f"column {col!r} does not end in _L or _U")
-        seen.setdefault(base, set())
-        if side in seen[base]:
+        sides = pairs.setdefault(col[:-2], {})
+        if col[-1] in sides:
             raise ParseError(f"duplicate column {col!r}")
-        seen[base].add(side)
-        if base not in names:
-            names.append(base)
-    for base, sides in seen.items():
-        if sides != {"L", "U"}:
+        sides[col[-1]] = i
+    for base, sides in pairs.items():
+        if len(sides) < 2:
             raise ParseError(f"variable {base!r} is missing its {'U' if 'L' in sides else 'L'} column")
-    return names
+    return {base: (sides["L"], sides["U"]) for base, sides in pairs.items()}
 
 
-def _read_table(path) -> tuple[list[str], np.ndarray, dict[str, int]]:
-    """Parse a bound-schema CSV into (variable names, data, column map)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptySampleError(f"{path}: file is empty") from None
+def read_table(path, check_header):
+    """Read a CSV of numbers under one header line; every CSV the CLI reads comes here.
+
+    ``check_header`` gets the stripped header cells before any row is parsed and returns
+    what the caller needs of them, or raises. Returns that, the data of the non-blank lines
+    and each one's file row: row k is line k + 1, blank lines counted, as every message
+    says. Undecodable bytes and malformed, over-long or non-finite cells are ParseErrors; a
+    file without a header or a data row is an EmptySampleError.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = raw.count(b"\n", 0, exc.start)
+        raise ParseError(f"{path}: row {row}: bytes that are not UTF-8 ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    values, rows = [], []
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptySampleError(f"{path}: file is empty")
         header = [h.strip() for h in header]
-        names = _pair_columns(header)
-        rows: list[list[float]] = []
-        for lineno, raw in enumerate(reader, start=1):
-            if not raw or all(not cell.strip() for cell in raw):
+        checked = check_header(header)
+        for cells in reader:
+            if all(not cell.strip() for cell in cells):
                 continue
-            if len(raw) != len(header):
-                raise ParseError(f"{path}: row {lineno} has {len(raw)} cells, expected {len(header)}")
+            row = reader.line_num - 1
+            if len(cells) != len(header):
+                raise ParseError(f"{path}: row {row} has {len(cells)} cells, expected {len(header)}")
             try:
-                rows.append([float(cell) for cell in raw])
+                values.append([float(cell) for cell in cells])
             except ValueError as exc:
-                raise ParseError(f"{path}: row {lineno}: {exc}") from None
-    if not rows:
+                raise ParseError(f"{path}: row {row}: {exc}") from None
+            rows.append(row)
+    except csv.Error as exc:  # a cell over csv.field_size_limit(), say
+        raise ParseError(f"{path}: row {reader.line_num - 1}: {exc}") from None
+    if not values:
         raise EmptySampleError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    data = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(data)):
-        bad = np.argwhere(~np.isfinite(data))[0]
-        raise ParseError(f"{path}: non-finite value at row {bad[0] + 1}, column {header[bad[1]]}")
-    return names, data, {c: i for i, c in enumerate(header)}
+        i, j = np.argwhere(~np.isfinite(data))[0]
+        raise ParseError(f"{path}: non-finite value at row {rows[i]}, column {header[j]}")
+    return checked, data, rows
 
 
-def _centers_radii(path, names, data: np.ndarray, col_of: dict[str, int]):
-    """Centers and radii of the named variables, one column each.
+def _centers_radii(path, data: np.ndarray, rows: list[int], pairs: dict[str, tuple[int, int]]):
+    """Centers and radii of the variables ``pairs`` maps to their bound columns.
 
     An inverted bound pair is a ParseError naming the row and variable.
     """
     xc, xr = [], []
-    for var in names:
-        lo = data[:, col_of[f"{var}_L"]]
-        hi = data[:, col_of[f"{var}_U"]]
+    for var, (lo_col, hi_col) in pairs.items():
+        lo, hi = data[:, lo_col], data[:, hi_col]
         bad = np.nonzero(lo > hi)[0]
         if bad.size:
             i = bad[0]
-            raise ParseError(f"{path}: row {i + 1}, variable {var!r}: lower {lo[i]} > upper {hi[i]}")
+            raise ParseError(f"{path}: row {rows[i]}, variable {var!r}: lower {lo[i]} > upper {hi[i]}")
         xc.append(0.5 * (lo + hi))
         xr.append(0.5 * (hi - lo))
     return np.column_stack(xc), np.column_stack(xr)
@@ -178,45 +190,38 @@ def load_csv(path, response: str | None = None) -> IntervalFrame:
     Blank lines are ignored; any malformed cell or inverted bound pair is a
     ParseError naming the row and column.
     """
-    names, data, col_of = _read_table(path)
-    if len(names) < 2:
+    columns, data, rows = read_table(path, _pair_columns)
+    if len(columns) < 2:
         raise ParseError(f"{path}: need at least one predictor pair and a response pair")
-    resp = response if response is not None else names[-1]
-    if resp not in names:
+    resp = response if response is not None else list(columns)[-1]
+    if resp not in columns:
         raise ParseError(f"{path}: response variable {resp!r} not among columns")
-    predictors = [v for v in names if v != resp]
+    predictors = [v for v in columns if v != resp]
 
-    xc, xr = _centers_radii(path, predictors, data, col_of)
-    yc, yr = _centers_radii(path, [resp], data, col_of)  # IntervalFrame ravels the one column
+    xc, xr = _centers_radii(path, data, rows, {v: columns[v] for v in predictors})
+    yc, yr = _centers_radii(path, data, rows, {resp: columns[resp]})  # IntervalFrame ravels it
     return IntervalFrame(tuple(predictors), xc, xr, yc, yr, resp)
 
 
 def load_feature_csv(path, predictor_names) -> tuple[np.ndarray, np.ndarray]:
     """Read only the named predictor pairs; extra variable pairs are ignored."""
-    names, data, col_of = _read_table(path)
-    missing = [v for v in predictor_names if v not in names]
+    columns, data, rows = read_table(path, _pair_columns)
+    missing = [v for v in predictor_names if v not in columns]
     if missing:
         raise ParseError(f"{path}: missing predictor pair(s): {', '.join(missing)}")
-    return _centers_radii(path, predictor_names, data, col_of)
+    return _centers_radii(path, data, rows, {v: columns[v] for v in predictor_names})
 
 
 def write_csv(frame: IntervalFrame, path) -> None:
     """Write a frame in the bound schema (inverse of load_csv for coherent data)."""
-    header: list[str] = []
-    for v in frame.predictor_names:
-        header += [f"{v}_L", f"{v}_U"]
-    header += [f"{frame.response_name}_L", f"{frame.response_name}_U"]
+    names = (*frame.predictor_names, frame.response_name)
+    center = np.column_stack([frame.x_center, frame.y_center])
+    radius = np.column_stack([frame.x_radius, frame.y_radius])
+    bounds = np.stack([center - radius, center + radius], axis=2).reshape(frame.n, -1)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(frame.n):
-            row: list[str] = []
-            for j in range(frame.p):
-                c, r = frame.x_center[i, j], frame.x_radius[i, j]
-                row += [repr(float(c - r)), repr(float(c + r))]
-            c, r = frame.y_center[i], frame.y_radius[i]
-            row += [repr(float(c - r)), repr(float(c + r))]
-            writer.writerow(row)
+        writer.writerow([f"{v}_{side}" for v in names for side in "LU"])
+        writer.writerows([repr(b) for b in row] for row in bounds.tolist())
 
 
 def split(frame: IntervalFrame, spec: SplitSpec) -> tuple[IntervalFrame, IntervalFrame]:

@@ -111,7 +111,7 @@ def model_from_json(text, source: str = "<string>", kinds: tuple[str, ...] = MOD
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # also bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8, or deep nesting
         raise ConfigError(f"{source}: not a JSON model file: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: a model file holds a JSON object")
@@ -134,5 +134,6 @@ def model_from_json(text, source: str = "<string>", kinds: tuple[str, ...] = MOD
         return forest_from_doc(doc)
     except KeyError as exc:
         raise ConfigError(f"{source}: {name} model file has no key {exc}") from None
-    except (AttributeError, IndexError, TypeError, ValueError, IvforestError) as exc:
+    # OverflowError: an integer array entry, such as a child index, beyond int64
+    except (AttributeError, IndexError, OverflowError, TypeError, ValueError, IvforestError) as exc:
         raise ConfigError(f"{source}: bad {name} model file: {exc}") from None

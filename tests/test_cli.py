@@ -133,12 +133,33 @@ def cyclic_root(doc):
     tree["feature"][0], tree["left"][0], tree["right"][0] = 0, 0, 0
 
 
-def not_json(tmp_path):
-    path = tmp_path / "m.json"
-    path.write_text("not json {", encoding="utf-8")
-    train = simulate_csv(tmp_path, name="train.csv")
-    return ["predict", "--model-file", str(path), "--in", str(train),
-            "--out", str(tmp_path / "p.csv")]
+def model_text(text):
+    """Builder of ``predict`` argv whose model file holds ``text``."""
+    def build(tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="utf-8")
+        train = simulate_csv(tmp_path, name="train.csv")
+        return ["predict", "--model-file", str(path), "--in", str(train),
+                "--out", str(tmp_path / "p.csv")]
+    return build
+
+
+def damaged_csv(kind, cell):
+    """Builder of argv that reads a dataset, query or predictions CSV (``kind``) whose last
+    row ends in the bytes ``cell``: row 41 of a dataset or query file, row 2 of predictions."""
+    def build(tmp_path):
+        data = simulate_csv(tmp_path, n=40, name="data.csv")  # setting 1: x1 and y pairs
+        bad, model = tmp_path / "bad.csv", tmp_path / "m.json"
+        if kind == "predictions":
+            bad.write_bytes(b"y_L,y_U,incoherent\n0,1,0\n0,1," + cell + b"\n")
+            return ["evaluate", "--pred", str(bad), "--truth", str(data)]
+        bad.write_bytes(data.read_bytes() + b"0,1,0," + cell + b"\n")
+        if kind == "dataset":
+            return ["fit", "--model", "ccrm", "--in", str(bad), "--out", str(model)]
+        assert run("fit", "--model", "ccrm", "--in", str(data), "--out", str(model)) == 0
+        return ["predict", "--model-file", str(model), "--in", str(bad),
+                "--out", str(tmp_path / "p.csv")]
+    return build
 
 
 def fit_argv(tmp_path, *flags):
@@ -182,7 +203,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 FAULTS = {
     "ccrm file without diagnostics": (
         lambda t: edited_model(t, "ccrm", lambda d: d.pop("diagnostics")), {}, 2, "'diagnostics'"),
-    "model file not JSON": (not_json, {}, 2, "m.json"),
+    "model file not JSON": (model_text("not json {"), {}, 2, "m.json"),
     "rf file of format_version 99": (
         lambda t: edited_model(t, "rf", lambda d: d.update(format_version=99)), {}, 2,
         "format_version"),
@@ -199,6 +220,19 @@ FAULTS = {
     "ke file with a nan training response": (
         lambda t: edited_model(t, "ke", set_item("training", "y_center", 0, float("nan"))), {}, 2,
         "'training'"),
+    "model file nested 200 000 deep": (model_text("[" * 200_000), {}, 2, "m.json"),
+    "rf file with a child index of 1e30": (
+        lambda t: edited_model(t, "rf", set_item("center_trees", 0, "left", 0, 1e30)), {}, 2,
+        "rf.json"),
+    "rf file with a feature of 1e300": (
+        lambda t: edited_model(t, "rf", set_item("radius_trees", 0, "feature", 0, 1e300)), {}, 2,
+        "rf.json"),
+    **{
+        f"{kind} file with {what}": (damaged_csv(kind, cell), {}, 3, f"row {row}: {named}")
+        for kind, row in (("dataset", 41), ("query", 41), ("predictions", 2))
+        for what, cell, named in (("bytes that are not UTF-8", b"\xff", "bytes that are not"),
+                                  ("a cell over the field limit", b"1" * 140_000, "field larger"))
+    },
     "fit --trees 0": (lambda t: fit_argv(t, "--trees", "0"), {}, 2, "n_trees"),
     "fit --bandwidth inf": (lambda t: fit_argv(t, "--model", "ke", "--bandwidth", "inf"), {}, 2,
                             "bandwidth"),
@@ -221,6 +255,11 @@ FAULTS = {
     "evaluate a nan bound": (lambda t: evaluate_argv(t, "0,1,0\nnan,1.0,0\n0,1,0\n"), {}, 3,
                              "row 2"),
     "evaluate a flag of 7": (lambda t: evaluate_argv(t, "0,1,0\n0,1,7\n0,1,0\n"), {}, 3, "row 2"),
+    "evaluate a bound of 1e308": (lambda t: evaluate_argv(t, "0,1,0\n1e308,1e308,0\n0,1,0\n"), {},
+                                  4, "overflow"),
+    "ccrm file with a coefficient of 1e308": (
+        lambda t: edited_model(t, "ccrm", set_item("coefficients", 0, 1, 1e308)), {}, 4,
+        "overflow"),
     **{
         f"{command} --out under {parent}": (unwritable_out(command, parent == "a file"), {}, 2,
                                             "afile")

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ivforest.errors import ConfigError, DegenerateTruthError, DimensionError, EmptySampleError
+from ivforest.errors import (ConfigError, DegenerateTruthError, DimensionError, EmptySampleError,
+                             ParseError)
 from ivforest.evaluate import (
     ExperimentSpec,
     evaluate,
@@ -162,6 +163,23 @@ class TestPredictionsCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")
         with pytest.raises(ConfigError):
+            read_predictions_csv(path)
+
+    def test_flags_read_by_value(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("y_L,y_U,incoherent\n0,1,0.0\n1,0,1.0\n2,3,1e0\n", encoding="utf-8")
+        np.testing.assert_array_equal(read_predictions_csv(path).incoherent, [False, True, True])
+
+    def test_bad_flag_names_its_file_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("y_L,y_U,incoherent\n0,1,0\n\n0,1,2\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="row 3: 'incoherent' must be 0 or 1, got 2"):
+            read_predictions_csv(path)
+
+    def test_empty_file_is_an_empty_sample(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(EmptySampleError):
             read_predictions_csv(path)
 
 

@@ -61,6 +61,27 @@ class TestLoadCsv:
             with pytest.raises(ParseError, match="non-finite value at row 1"):
                 load_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("0,1,0,x", "row 4: could not convert"),
+        ("0,1,0,nan", "non-finite value at row 4,"),
+        ("3,1,0,1", "row 4, variable 'x1'"),
+    ], ids=["non-numeric", "non-finite", "inverted"])
+    def test_blank_lines_count_in_row_numbers(self, tmp_path, row, message):
+        path = write(tmp_path, f"x1_L,x1_U,y_L,y_U\n0,1,0,1\n\n\n{row}\n")
+        with pytest.raises(ParseError, match=message):
+            load_csv(path)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"x1_L,x1_U,y_L,y_U\n0,1,0,1\n\n0,1,0,\xff\n")
+        with pytest.raises(ParseError, match="row 3: bytes that are not UTF-8"):
+            load_csv(path)
+
+    def test_cell_over_the_field_limit(self, tmp_path):
+        path = write(tmp_path, "x1_L,x1_U,y_L,y_U\n0,1,0,1\n0,1,0," + "1" * 140_000 + "\n")
+        with pytest.raises(ParseError, match="row 2: field larger than field limit"):
+            load_csv(path)
+
     def test_blank_lines_ignored(self, tmp_path):
         path = write(tmp_path, "x1_L,x1_U,y_L,y_U\n\n0,1,2,4\n\n1,3,0,5\n\n")
         assert load_csv(path).n == 2

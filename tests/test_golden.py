@@ -1,16 +1,18 @@
 """The behaviour contract: regenerated outputs against the committed copies in ``golden/``.
 
-The copies are a bench grid's ``results.csv`` and ``summary.csv`` and the ``ivf predict`` CSV
-of a setting-7 forest whose prediction takes both leaf bitvectors and the walk. On the numpy
-version recorded in ``golden/numpy-version`` they must match byte for byte. numpy's SIMD
-reductions can differ by an ulp across releases, so on any other version every field that
-parses as a number must match to a relative 1e-12 and every other field exactly.
+The copies are a bench grid's ``results.csv`` and ``summary.csv``, the ``ivf predict`` CSV
+of a setting-7 forest whose prediction takes both leaf bitvectors and the walk, and the
+``ivf fit`` model files of a small ccrm, ke and rf fit. On the numpy version recorded in
+``golden/numpy-version`` they must match byte for byte. numpy's SIMD reductions can differ
+by an ulp across releases, so on any other version every CSV field that parses as a number,
+and every JSON number, must match to a relative 1e-12, and every other field exactly.
 
 Regenerate the copies with ``PYTHONPATH=src python tests/test_golden.py``, and say in the
 change log which bytes moved and why.
 """
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -25,11 +27,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH = ["bench", "--settings", "1-7", "--sizes", "200,1000", "--reps", "2", "--models",
          "ccrm,ke,rf", "--trees", "20", "--seed", "31337", "--workers", "1"]
 REL_TOL = 1e-12
+FIT_MODELS = ("ccrm", "ke", "rf")  # fitted with `ivf fit` on 120 setting-5 rows, rf with 10 trees
 
 
 def golden_outputs(workdir: Path) -> dict:
     """Run the contract's commands in ``workdir``; returns each golden file's regenerated path."""
     assert main([*BENCH, "--out-dir", str(workdir / "bench")]) == 0
+    data = workdir / "fit_data.csv"
+    assert main(["simulate", "--setting", "5", "--n", "120", "--seed", "1", "--out", str(data)]) == 0
+    for model in FIT_MODELS:
+        assert main(["fit", "--model", model, "--in", str(data), "--trees", "10", "--seed", "1",
+                     "--out", str(workdir / f"fit_{model}.json")]) == 0
     # setting 7 draws negative response radii, which `ivf fit` rejects as inverted bounds,
     # so the forest is fitted here and only the prediction goes through the CLI
     fit = fit_model("rf", simulate(SimSetting(7, 400, 1)), 7, n_trees=20)
@@ -43,6 +51,7 @@ def golden_outputs(workdir: Path) -> dict:
         "results.csv": workdir / "bench" / "results.csv",
         "summary.csv": workdir / "bench" / "summary.csv",
         "predict_rf_setting7.csv": workdir / "predict_rf_setting7.csv",
+        **{f"fit_{model}.json": workdir / f"fit_{model}.json" for model in FIT_MODELS},
     }
 
 
@@ -54,6 +63,19 @@ def fields_match(got: str, want: str) -> bool:
     return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=REL_TOL, abs_tol=0.0)
 
 
+def json_match(got, want) -> bool:
+    """Numbers to a relative REL_TOL, all else exactly, through nested lists and objects."""
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(json_match(got[k], want[k]) for k in want))
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(map(json_match, got, want)))
+    if isinstance(want, float) and isinstance(got, float):
+        return fields_match(repr(got), repr(want))
+    return type(got) is type(want) and got == want
+
+
 def test_outputs_match_golden(tmp_path, monkeypatch):
     masks = []
 
@@ -63,7 +85,7 @@ def test_outputs_match_golden(tmp_path, monkeypatch):
 
     monkeypatch.setattr(forest, "_sums", record)
     outputs = golden_outputs(tmp_path)
-    # the prediction's two calls, one per component, each mix both paths
+    # the prediction's two calls, one per component and made last, each mix both paths
     assert all(True in mask and False in mask for mask in masks[-2:])
 
     recorded = (GOLDEN / "numpy-version").read_text(encoding="utf-8").strip()
@@ -74,6 +96,9 @@ def test_outputs_match_golden(tmp_path, monkeypatch):
         got, want = path.read_bytes(), (GOLDEN / name).read_bytes()
         if exact:
             assert got == want, name
+            continue
+        if name.endswith(".json"):
+            assert json_match(json.loads(got), json.loads(want)), name
             continue
         got_rows = list(csv.reader(got.decode("utf-8").splitlines()))
         want_rows = list(csv.reader(want.decode("utf-8").splitlines()))
