@@ -303,7 +303,7 @@ def cmd_bench(settings, sizes, reps, models, seed, train_fraction, trees, mtry, 
 @click.option("--response", default=None)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def cmd_plot(kind, in_path, truth_path, pred_path, response, out_path):
-    """Render a deterministic SVG plot."""
+    """Render a deterministic SVG plot; both kinds draw the first predictor."""
     if kind == "rectangles":
         if in_path is None:
             raise click.UsageError("--kind rectangles needs --in")

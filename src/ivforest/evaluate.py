@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateTruthError, DimensionError, EmptySampleError, ParseError
 from .frame import IntervalFrame, SplitSpec, read_table, split
-from .linear import PredictionSet
+from .intervals import PredictionSet
 from .models import MODELS, check_fit_settings, fit_model, model_names, predict_model
 from .rng import derive_seed
 from .simulate import SETTING_IDS, SimSetting, simulate

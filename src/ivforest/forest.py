@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, OOBUnavailableError, UnderdeterminedError
 from .frame import IntervalFrame
-from .linear import PredictionSet
+from .intervals import PredictionSet
 from .rng import stream
 
 # fit_forest grows trees together in chunks of this many (tree, bootstrap
@@ -161,40 +161,6 @@ def _best_splits(
         best[better] = top[j, better]
     row[best <= tol] = -1
     return row, first[np.maximum(row, 0), np.arange(starts.size)]
-
-
-def best_split(
-    rows: np.ndarray,
-    y: np.ndarray,
-    features: np.ndarray,
-    X: np.ndarray,
-    min_child: int = 1,
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, child RSS) of one node over the candidate features.
-
-    Thresholds sit at midpoints between consecutive distinct sorted values;
-    each child must keep at least ``min_child`` rows. Returns None when no
-    split yields two valid children or a gain above the tolerance of
-    ``_best_splits``, which scores the node. Ties break toward the lowest
-    feature index, then the lowest threshold.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    features = np.sort(np.asarray(features, dtype=np.int64))
-    if rows.size < 2 or rows.size < 2 * min_child or features.size == 0:
-        return None
-    X = np.asarray(X, dtype=float)
-    ynode = np.asarray(y, dtype=float)[rows]
-    xv = X[rows][:, features].T
-    order = np.argsort(xv, axis=1, kind="stable")
-    xs = np.take_along_axis(xv, order, axis=1)
-    row, col = _best_splits(xs, ynode[order], np.zeros(1, dtype=np.int64), min_child)
-    if row[0] < 0:
-        return None
-    j, a = row[0], col[0]
-    threshold = 0.5 * (xs[j, a] + xs[j, a + 1])
-    go_left = X[rows, features[j]] <= threshold
-    rss = sum(float(np.sum((part - part.mean()) ** 2)) for part in (ynode[go_left], ynode[~go_left]))
-    return int(features[j]), float(threshold), rss
 
 
 def grow_trees(

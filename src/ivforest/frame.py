@@ -121,6 +121,13 @@ def _pair_columns(header: list[str]) -> dict[str, tuple[int, int]]:
     return {base: (sides["L"], sides["U"]) for base, sides in pairs.items()}
 
 
+def _number(cell: str) -> float:
+    """``float`` of a cell, refusing the digit-group underscores and non-ASCII digits it takes."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell)
+
+
 def read_table(path, check_header):
     """Read a CSV of numbers under one header line; every CSV the CLI reads comes here.
 
@@ -151,7 +158,7 @@ def read_table(path, check_header):
             if len(cells) != len(header):
                 raise ParseError(f"{path}: row {row} has {len(cells)} cells, expected {len(header)}")
             try:
-                values.append([float(cell) for cell in cells])
+                values.append([_number(cell) for cell in cells])
             except ValueError as exc:
                 raise ParseError(f"{path}: row {row}: {exc}") from None
             rows.append(row)

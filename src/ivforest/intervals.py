@@ -1,8 +1,9 @@
-"""Metrics between intervals held as (center, radius) arrays.
+"""Intervals held as (center, radius) arrays: predictions and the metrics between them.
 
 The package stores an interval by its center and radius, never as an
-object: a frame keeps (n, p) center and radius arrays, and a feature row
-holds all predictor centers, then all radii. The metrics below work in
+object: a frame keeps (n, p) center and radius arrays, a feature row
+holds all predictor centers, then all radii, and every model predicts a
+``PredictionSet`` of center and radius arrays. The metrics below work in
 those coordinates. ``hausdorff``, ``delta_distance`` and ``w_distance``
 compare intervals elementwise; each operand is a ``(center, radius)`` pair
 of arrays or scalars that broadcast together. ``hyper_distance`` compares
@@ -11,9 +12,29 @@ feature rows pairwise. A zero radius is a first-class value.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ConfigError, DimensionError
+
+
+@dataclass(frozen=True)
+class PredictionSet:
+    """Predicted intervals in raw center/radius form with incoherence flags."""
+
+    center: np.ndarray
+    radius: np.ndarray
+    incoherent: np.ndarray  # bool per row
+    extrapolated: np.ndarray | None = None  # kernel far-query fallback rows
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self.center - self.radius
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self.center + self.radius
 
 
 def hausdorff(a, b) -> np.ndarray:

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, EmptySampleError
 from .frame import IntervalFrame
-from .intervals import hyper_distance
-from .linear import PredictionSet
+from .intervals import PredictionSet, hyper_distance
 
 KERNELS = ("gaussian", "epanechnikov", "triangular", "uniform")
 
@@ -123,8 +122,8 @@ def predict_kernel_frame(fit: KernelFit, frame: IntervalFrame) -> PredictionSet:
     return predict_kernel_rows(fit, frame.features())
 
 
-def default_grid(d: np.ndarray, n_points: int = 20) -> np.ndarray:
-    """Log-spaced bandwidth grid spanning [0.05 s, 5 s], s the median pairwise distance.
+def default_grid(d: np.ndarray) -> np.ndarray:
+    """20 log-spaced bandwidths spanning [0.05 s, 5 s], s the median pairwise distance.
 
     ``d`` is the training rows' square distance matrix; only its strict
     upper triangle is read.
@@ -134,7 +133,7 @@ def default_grid(d: np.ndarray, n_points: int = 20) -> np.ndarray:
     s = float(np.median(d[upper]))
     if s <= 0.0:
         s = 1.0  # all rows identical; the scale is arbitrary
-    return np.geomspace(0.05 * s, 5.0 * s, n_points)
+    return np.geomspace(0.05 * s, 5.0 * s, 20)
 
 
 def _loo_loss(d_loo: np.ndarray, train: IntervalFrame, kernel: str, h: float) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, UnderdeterminedError
 from .frame import IntervalFrame
+from .intervals import PredictionSet
 
 VARIANTS = ("ccrm", "crm", "minmax")
 
@@ -92,7 +93,7 @@ def nnls(X: np.ndarray, y: np.ndarray, max_iter: int | None = None) -> NnlsResul
     feasible segment, admit the best violating variable by dual value.
     Terminates at the KKT point: free gradients zero, active gradients
     nonnegative. Raises NumericError when ``max_iter`` steps (default
-    10k) do not reach that point.
+    10 * k) do not reach that point.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -177,24 +178,6 @@ def fit_linear(variant: str, train: IntervalFrame) -> LinearFit:
         active_constraints=getattr(second, "active", ()),
         rank_deficient=first.rank_deficient or getattr(second, "rank_deficient", False),
     )
-
-
-@dataclass(frozen=True)
-class PredictionSet:
-    """Predicted intervals in raw center/radius form with incoherence flags."""
-
-    center: np.ndarray
-    radius: np.ndarray
-    incoherent: np.ndarray  # bool per row
-    extrapolated: np.ndarray | None = None  # kernel far-query fallback rows
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.center - self.radius
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.center + self.radius
 
 
 def predict_linear(fit: LinearFit, x_center: np.ndarray, x_radius: np.ndarray) -> PredictionSet:

@@ -19,10 +19,11 @@ from .errors import ConfigError, IvforestError
 from .forest import (ForestFit, ForestParams, fit_forest, forest_from_doc, forest_to_json,
                      predict_forest_frame, predict_forest_rows)
 from .frame import IntervalFrame
+from .intervals import PredictionSet
 from .kernel import (KernelFit, check_bandwidth, fit_kernel, kernel_from_doc, kernel_to_json,
                      predict_kernel_frame, predict_kernel_rows)
-from .linear import (VARIANTS, LinearFit, PredictionSet, fit_linear, linear_from_doc,
-                     linear_to_json, predict_linear, predict_linear_frame)
+from .linear import (VARIANTS, LinearFit, fit_linear, linear_from_doc, linear_to_json,
+                     predict_linear, predict_linear_frame)
 
 MODELS = VARIANTS + ("ke", "rf")  # also the order results.csv sorts models by
 FORMAT_VERSION = 1

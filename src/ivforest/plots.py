@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptySampleError
 from .frame import IntervalFrame
-from .linear import PredictionSet
+from .intervals import PredictionSet
 
 WIDTH, HEIGHT = 640, 480
 MARGIN = 54
@@ -104,15 +104,15 @@ def _document(elements: list[str], width: int = WIDTH, height: int = HEIGHT) -> 
     return "\n".join([head, *elements, "</svg>"]) + "\n"
 
 
-def rectangles_svg(frame: IntervalFrame, predictor: int = 0) -> str:
-    """One gray rectangle per observation (x span by y span) with a center dot."""
-    xc = frame.x_center[:, predictor]
-    xr = frame.x_radius[:, predictor]
+def rectangles_svg(frame: IntervalFrame) -> str:
+    """One gray rectangle per observation (first predictor by response) with a center dot."""
+    xc = frame.x_center[:, 0]
+    xr = frame.x_radius[:, 0]
     yc, yr = frame.y_center, frame.y_radius
     xlim = _padded(float(np.min(xc - xr)), float(np.max(xc + xr)))
     ylim = _padded(float(np.min(yc - yr)), float(np.max(yc + yr)))
     panel = _Panel(MARGIN, 24, WIDTH - 2 * MARGIN, HEIGHT - 24 - 2 * MARGIN, xlim, ylim)
-    panel.axes(frame.predictor_names[predictor], frame.response_name)
+    panel.axes(frame.predictor_names[0], frame.response_name)
     for i in range(frame.n):
         lo_x, hi_x = xc[i] - xr[i], xc[i] + xr[i]
         lo_y, hi_y = yc[i] - yr[i], yc[i] + yr[i]
@@ -126,8 +126,8 @@ def rectangles_svg(frame: IntervalFrame, predictor: int = 0) -> str:
     return _document(panel.elements)
 
 
-def pred_scatter_svg(truth: IntervalFrame, pred: PredictionSet, predictor: int = 0) -> str:
-    """Observed (circles) versus predicted (triangles), center and radius panels."""
+def pred_scatter_svg(truth: IntervalFrame, pred: PredictionSet) -> str:
+    """Observed (circles) vs predicted (triangles) on the first predictor: center, radius panels."""
     if pred.center.size != truth.n:
         raise DimensionError(
             f"prediction rows ({pred.center.size}) != observation rows ({truth.n})"
@@ -137,8 +137,8 @@ def pred_scatter_svg(truth: IntervalFrame, pred: PredictionSet, predictor: int =
     panel_w = (WIDTH - 2 * MARGIN - PANEL_GAP) / 2
     panels: list[str] = []
     specs = (
-        ("center", truth.x_center[:, predictor], truth.y_center, pred.center, MARGIN),
-        ("radius", truth.x_radius[:, predictor], truth.y_radius, pred.radius, MARGIN + panel_w + PANEL_GAP),
+        ("center", truth.x_center[:, 0], truth.y_center, pred.center, MARGIN),
+        ("radius", truth.x_radius[:, 0], truth.y_radius, pred.radius, MARGIN + panel_w + PANEL_GAP),
     )
     for name, x, observed, predicted, x0 in specs:
         ylo = float(min(observed.min(), predicted.min()))

@@ -35,13 +35,13 @@ import pytest
 
 from ivforest.cli import main as cli_main
 from ivforest.evaluate import ExperimentSpec, run_experiment
-from ivforest.forest import best_split
 from ivforest.frame import IntervalFrame, SplitSpec, split, write_csv
 from ivforest.intervals import delta_distance, hausdorff, hyper_distance, w_distance
 from ivforest.kernel import fit_kernel, kernel_weight, predict_kernel_rows
 from ivforest.linear import fit_linear, nnls, predict_linear
 from ivforest.rng import derive_seed
 from ivforest.simulate import SimSetting, simulate
+from splits import root_split
 
 WORKERS = 2
 
@@ -237,14 +237,14 @@ def brute_force_split(rows, y, features, X, tol=1e-12):
 def test_criterion_7_oracle_equivalences():
     rng = np.random.default_rng(990)
 
-    # best_split vs exhaustive enumeration, 200 random instances
+    # the split search of tree growth vs exhaustive enumeration, 200 random instances
     split_ok = 0
     for _ in range(200):
         n = int(rng.integers(2, 31))
         m = int(rng.integers(1, 5))
         X = np.round(rng.normal(size=(n, m)), 2)
         y = rng.normal(size=n)
-        got = best_split(np.arange(n), y, list(range(m)), X)
+        got = root_split(y, X)
         want = brute_force_split(np.arange(n), y, list(range(m)), X)
         if got is None and want is None:
             split_ok += 1
@@ -302,7 +302,7 @@ def test_criterion_7_oracle_equivalences():
     report(
         7,
         ok,
-        f"best_split {split_ok}/200 exact; nnls {nnls_ok}/50 KKT@1e-8 and lattice-optimal; "
+        f"root split {split_ok}/200 exact; nnls {nnls_ok}/50 KKT@1e-8 and lattice-optimal; "
         f"kernel {kernel_ok}/100 match loop oracle @1e-10",
     )
 

@@ -46,6 +46,11 @@ class TestSimulateCommand:
         assert run("simulate", "--setting", "1") == 2
 
 
+INVERTED_BOUNDS = pytest.mark.xfail(
+    strict=True, reason="ivf simulate writes inverted bounds that ivf fit rejects with exit 3 "
+                        "(ROADMAP item 5)")
+
+
 class TestFitPredictEvaluate:
     @pytest.mark.parametrize("model", ["ccrm", "crm", "minmax", "ke", "rf"])
     def test_round_trip(self, tmp_path, model, capsys):
@@ -62,6 +67,21 @@ class TestFitPredictEvaluate:
         report = json.loads(capsys.readouterr().out)
         assert set(report) == {"center", "radius", "n_test", "incoherent_count"}
         assert report["n_test"] == 40
+
+    @pytest.mark.parametrize("setting", [
+        pytest.param(s, marks=INVERTED_BOUNDS) if s in (4, 6, 7) else s for s in range(1, 8)])
+    def test_every_setting_round_trips(self, tmp_path, setting, capsys):
+        """Simulate, then fit, predict and evaluate each model on the same file."""
+        data = simulate_csv(tmp_path, setting=setting, n=200, seed=3)
+        for model in ("ccrm", "ke", "rf"):
+            model_file, preds = tmp_path / f"{model}.json", tmp_path / f"{model}.csv"
+            extra = ["--trees", "10"] if model == "rf" else []
+            assert run("fit", "--model", model, "--in", str(data), "--out", str(model_file),
+                       *extra) == 0
+            assert run("predict", "--model-file", str(model_file), "--in", str(data),
+                       "--out", str(preds)) == 0
+            assert run("evaluate", "--pred", str(preds), "--truth", str(data)) == 0
+            assert json.loads(capsys.readouterr().out)["n_test"] == 200
 
     def test_fit_on_missing_file_exits_2(self, tmp_path):
         assert run("fit", "--model", "ccrm", "--in", str(tmp_path / "nope.csv"),
@@ -465,7 +485,7 @@ class TestPlotCommand:
         data = simulate_csv(tmp_path, n=12)
         train = load_csv(data)
         from ivforest.evaluate import predictions_csv
-        from ivforest.linear import PredictionSet
+        from ivforest.intervals import PredictionSet
 
         pred = PredictionSet(np.zeros(5), np.ones(5), np.zeros(5, dtype=bool))
         pred_path = tmp_path / "preds.csv"

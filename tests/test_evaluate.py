@@ -17,7 +17,7 @@ from ivforest.evaluate import (
     summary_csv,
 )
 from ivforest.frame import IntervalFrame
-from ivforest.linear import PredictionSet
+from ivforest.intervals import PredictionSet
 
 
 def preds(centers, radii):

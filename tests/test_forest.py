@@ -17,7 +17,6 @@ from ivforest.forest import (
     _sums,
     _tree_problem,
     _tree_sums,
-    best_split,
     fit_forest,
     forest_from_json,
     forest_to_json,
@@ -29,6 +28,7 @@ from ivforest.forest import (
 from ivforest.frame import IntervalFrame, SplitSpec, split
 from ivforest.rng import stream
 from ivforest.simulate import SimSetting, simulate
+from splits import root_split
 
 
 def brute_force_split(rows, y, features, X, min_child=1, tol=1e-12):
@@ -69,7 +69,7 @@ class TestBestSplit:
     def test_step_function(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 0.0, 10.0, 10.0])
-        got = best_split(np.arange(4), y, [0], X)
+        got = root_split(y, X)
         oracle = brute_force_split(np.arange(4), y, [0], X)
         assert got is not None and oracle is not None
         assert got[0] == oracle[0] == 0
@@ -78,17 +78,17 @@ class TestBestSplit:
 
     def test_constant_response_returns_none(self):
         X = np.arange(6, dtype=float)[:, None]
-        assert best_split(np.arange(6), np.full(6, 3.0), [0], X) is None
+        assert root_split(np.full(6, 3.0), X) is None
 
     def test_identical_feature_values_returns_none(self):
         X = np.ones((2, 1))
-        assert best_split(np.arange(2), np.array([0.0, 1.0]), [0], X) is None
+        assert root_split(np.array([0.0, 1.0]), X) is None
 
     def test_min_child_filters_thresholds(self):
         X = np.arange(10, dtype=float)[:, None]
         y = np.array([0.0] * 1 + [5.0] * 9)  # best unconstrained split isolates row 0
-        unconstrained = best_split(np.arange(10), y, [0], X)
-        constrained = best_split(np.arange(10), y, [0], X, min_child=3)
+        unconstrained = root_split(y, X)
+        constrained = root_split(y, X, min_child=3)
         assert unconstrained[1] == 0.5
         assert constrained[1] >= 2.5
 
@@ -96,11 +96,11 @@ class TestBestSplit:
         # identical duplicated feature columns: equal RSS, feature 0 must win
         X = np.column_stack([np.arange(4.0), np.arange(4.0)])
         y = np.array([0.0, 0.0, 8.0, 8.0])
-        got = best_split(np.arange(4), y, [1, 0], X)
+        got = root_split(y, X)
         assert got[0] == 0
         # symmetric y: thresholds 0.5 and 2.5 tie; the lower one wins
         y2 = np.array([0.0, 4.0, 4.0, 8.0])
-        got2 = best_split(np.arange(4), y2, [0], X)
+        got2 = root_split(y2, X[:, :1])
         assert got2[1] == 0.5
 
     @pytest.mark.parametrize("seed", range(25))
@@ -111,7 +111,7 @@ class TestBestSplit:
         X = np.round(rng.normal(size=(n, m)), 2)  # rounded values create ties
         y = rng.normal(size=n)
         rows = np.arange(n)
-        got = best_split(rows, y, list(range(m)), X)
+        got = root_split(y, X)
         oracle = brute_force_split(rows, y, list(range(m)), X)
         if oracle is None:
             assert got is None
@@ -261,7 +261,7 @@ class TestLevelWiseBuilder:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(200, 2))
         y = np.full(200, level)
-        assert best_split(np.arange(200), y, [0, 1], X) is None
+        assert root_split(y, X) is None
         frame = IntervalFrame(("x1",), X[:, :1], np.abs(X[:, 1:]), y, np.full(200, 0.5))
         fit = fit_forest(frame, ForestParams(n_trees=10, seed=1))
         assert all(t.n_leaves == 1 for t in fit.center_trees + fit.radius_trees)

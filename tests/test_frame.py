@@ -54,6 +54,14 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 1"):
             load_csv(path)
 
+    @pytest.mark.parametrize("row", ["1_0,2_0,0,1", "\u0661,\u0662,0,1"],
+                             ids=["underscores", "arabic-indic-digits"])
+    def test_cells_beyond_ascii_decimal_syntax(self, tmp_path, row):
+        """``float`` alone reads these as [10, 20] and [1, 2]."""
+        path = write(tmp_path, f"x1_L,x1_U,y_L,y_U\n0,1,0,1\n{row}\n")
+        with pytest.raises(ParseError, match="data.csv: row 2: could not convert"):
+            load_csv(path)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_rejected(self, tmp_path, bad):
         for row in (f"{bad},1,2,4", f"0,{bad},2,4"):

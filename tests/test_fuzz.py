@@ -46,7 +46,8 @@ def files(tmp_path_factory):
 def mutate_bytes(data: bytes, rng: random.Random) -> tuple[str, bytes]:
     """One byte-level mutation of ``data`` and its description."""
     at = rng.randrange(len(data) + 1)
-    kind = rng.choice(["truncate", "flip", "non-utf8", "nul", "blank lines", "long cell"])
+    kind = rng.choice(["truncate", "flip", "non-utf8", "nul", "blank lines", "long cell",
+                       "underscore", "non-ascii digit"])
     if kind == "truncate":
         return f"truncate at {at}", data[:at]
     if kind == "flip":
@@ -55,7 +56,8 @@ def mutate_bytes(data: bytes, rng: random.Random) -> tuple[str, bytes]:
         return f"flip byte {at} by {mask:#x}", data[:at] + bytes([data[at] ^ mask]) + data[at + 1:]
     insert = {"non-utf8": rng.choice([b"\xff", b"\xc3\x28", b"\x80", b"\xed\xa0\x80"]),
               "nul": b"\x00", "blank lines": b"\n\n\r\n",
-              "long cell": rng.choice([b"9", b" ", b"x"]) * 140_000}[kind]
+              "long cell": rng.choice([b"9", b" ", b"x"]) * 140_000,
+              "underscore": b"_", "non-ascii digit": "\u0663".encode()}[kind]  # Arabic-Indic 3
     return f"insert {kind} at {at}", data[:at] + insert + data[at:]
 
 

@@ -40,10 +40,10 @@ def hand_weighted_average(dists, values, h, kernel="gaussian"):
     return num / den
 
 
-def train_grid(train, n_points=20):
+def train_grid(train):
     """:func:`default_grid` over the training rows' own distance matrix."""
     feats = train.features()
-    return default_grid(hyper_distance(feats, feats), n_points)
+    return default_grid(hyper_distance(feats, feats))
 
 
 class TestPredict:
@@ -242,8 +242,10 @@ class TestBandwidth:
 
         frame = simulate(SimSetting(5, 250, 21))
         train, test = split(frame, SplitSpec(0.8, "random", seed=2))
-        coarse = select_bandwidth(train, "gaussian", train_grid(train, 20))
-        fine = select_bandwidth(train, "gaussian", train_grid(train, 40))
+        grid = train_grid(train)
+        coarse = select_bandwidth(train, "gaussian", grid)
+        # the default span, at 40 points
+        fine = select_bandwidth(train, "gaussian", np.geomspace(grid[0], grid[-1], 40))
         r2 = {}
         for tag, h in (("coarse", coarse), ("fine", fine)):
             pred = predict_kernel_frame(fit_kernel(train, h=h), test)

@@ -6,7 +6,7 @@ import pytest
 
 from ivforest.errors import DimensionError
 from ivforest.frame import IntervalFrame
-from ivforest.linear import PredictionSet
+from ivforest.intervals import PredictionSet
 from ivforest.plots import pred_scatter_svg, rectangles_svg
 from ivforest.simulate import SimSetting, simulate
 
