@@ -10,6 +10,7 @@ import pytest
 
 from ivforest.cli import main
 from ivforest.frame import load_csv, write_csv
+from ivforest.intervals import hyper_distance
 
 
 def run(*argv):
@@ -122,6 +123,50 @@ class TestFitPredictEvaluate:
         assert run("predict", "--model-file", str(model_file), "--in", str(train),
                    "--out", str(preds)) == 0
         assert preds.read_text().startswith("y_L,y_U,incoherent\n")
+
+
+@pytest.fixture
+def kernel_predictions(monkeypatch):
+    """Every kernel PredictionSet made while the test runs, with its extrapolated flags."""
+    import ivforest.kernel as kernel_module
+    import ivforest.models as models_module
+
+    made = []
+    predict = kernel_module.predict_kernel_rows
+
+    def recorded(fit, queries):
+        made.append(predict(fit, queries))
+        return made[-1]
+
+    monkeypatch.setattr(kernel_module, "predict_kernel_rows", recorded)
+    monkeypatch.setattr(models_module, "predict_kernel_rows", recorded)
+    return made
+
+
+class TestTinyBandwidth:
+    """A tiny positive bandwidth overflows (d / h)^2: every weight is 0, so each
+    row falls back to its nearest training row and is flagged extrapolated."""
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    def test_predict_falls_back_to_nearest(self, tmp_path, kernel, kernel_predictions):
+        train = simulate_csv(tmp_path, setting=5, n=100, seed=1, name="train.csv")
+        queries = simulate_csv(tmp_path, setting=5, n=30, seed=2, name="queries.csv")
+        model_file = tmp_path / "ke.json"
+        assert run("fit", "--model", "ke", "--kernel", kernel, "--bandwidth", "1e-160",
+                   "--in", str(train), "--out", str(model_file)) == 0
+        assert run("predict", "--model-file", str(model_file), "--in", str(queries),
+                   "--out", str(tmp_path / "p.csv")) == 0
+        (pred,) = kernel_predictions
+        assert pred.extrapolated.all()
+        fit, q = load_csv(train), load_csv(queries)
+        nearest = np.argmin(hyper_distance(q.features(), fit.features()), axis=1)
+        assert np.array_equal(pred.center, fit.y_center[nearest])
+
+    def test_bench_falls_back_to_nearest(self, tmp_path, kernel_predictions):
+        assert run("bench", "--settings", "5", "--sizes", "200", "--reps", "1", "--models", "ke",
+                   "--bandwidth", "1e-160", "--workers", "1", "--out-dir", str(tmp_path / "b")) == 0
+        (pred,) = kernel_predictions
+        assert pred.center.size > 0 and pred.extrapolated.all()
 
 
 def edited_model(tmp_path, model, edit):

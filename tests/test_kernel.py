@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import ivforest.kernel as kernel_module
 from ivforest.errors import ConfigError, DimensionError, EmptySampleError
 from ivforest.frame import IntervalFrame, SplitSpec, split
 from ivforest.intervals import hyper_distance
 from ivforest.kernel import (
+    KERNELS,
     KernelFit,
     default_grid,
     fit_kernel,
@@ -196,6 +199,12 @@ class TestBandwidth:
         with pytest.raises(ConfigError):
             select_bandwidth(train, "gaussian", np.array([0.5, -1.0]))
 
+    @pytest.mark.parametrize("grid", [[math.nan], [0.5, math.inf], [0.5, -math.inf]])
+    def test_non_finite_grid_rejected(self, grid):
+        train = frame_from_rows(np.arange(4.0)[:, None], np.ones((4, 1)), np.arange(4.0), np.ones(4))
+        with pytest.raises(ConfigError, match="positive and finite"):
+            select_bandwidth(train, "gaussian", np.array(grid))
+
     def test_needs_three_rows(self):
         train = frame_from_rows([[0.0], [1.0]], [[0.1], [0.1]], [0.0, 1.0], [1.0, 1.0])
         with pytest.raises(EmptySampleError):
@@ -251,6 +260,53 @@ class TestBandwidth:
             pred = predict_kernel_frame(fit_kernel(train, h=h), test)
             r2[tag] = evaluate_frame(pred, test).center.r2
         assert r2["coarse"] >= r2["fine"] - 0.05
+
+
+class TestBlocks:
+    """Distances weighted in blocks of 8 rows give the bytes of one block."""
+
+    @staticmethod
+    def sample():
+        rng = np.random.default_rng(8)
+        train = frame_from_rows(
+            rng.normal(size=(30, 2)), np.abs(rng.normal(size=(30, 2))),
+            rng.normal(size=30), np.abs(rng.normal(size=30)),
+        )
+        queries = np.column_stack([rng.normal(size=(61, 2)), np.abs(rng.normal(size=(61, 2)))])
+        queries[-1, :2] = 1e3  # the last block's last row has no weight under any kernel
+        return train, queries
+
+    @staticmethod
+    def outputs(train, queries, kernel):
+        pred = predict_kernel_rows(fit_kernel(train, h=0.8, kernel=kernel), queries)
+        losses = [loo_loss(train, kernel, float(h)) for h in train_grid(train)]
+        return pred, losses, select_bandwidth(train, kernel)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_eight_row_blocks_keep_bytes(self, kernel, monkeypatch):
+        train, queries = self.sample()
+        monkeypatch.setattr(kernel_module, "_BLOCK_ENTRIES", 2**40)
+        whole_pred, whole_losses, whole_h = self.outputs(train, queries, kernel)
+        monkeypatch.setattr(kernel_module, "_BLOCK_ENTRIES", 1)
+        pred, losses, h = self.outputs(train, queries, kernel)
+        for field in ("center", "radius", "extrapolated"):
+            assert np.array_equal(getattr(pred, field), getattr(whole_pred, field))
+        assert pred.extrapolated[-1]
+        assert np.array_equal(losses, whole_losses)
+        assert h == whole_h
+
+    def test_prediction_memory_is_bounded_by_the_block(self):
+        drawn = simulate(SimSetting(7, 20_400, 1))
+        train, queries = split(drawn, SplitSpec(0.5, mode="random", seed=1, train_count=400))
+        fit = fit_kernel(train)
+        feats = queries.features()
+        tracemalloc.start()
+        try:
+            predict_kernel_rows(fit, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # a whole 20 000 x 400 distance matrix is 64 MB
 
 
 class TestPriceScale:
