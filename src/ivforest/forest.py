@@ -12,7 +12,12 @@ All trees of an ensemble are grown together, level by level. All
 randomness for tree t comes from the stream keyed by (seed, component, t):
 first its bootstrap, then one draw of candidate features per level for its
 open nodes (none when every feature is a candidate). Tree t does not depend
-on how many trees the forest has.
+on how many trees the forest has. A tree is grown on its distinct bootstrap
+rows, each weighted by how many times it was drawn (as scikit-learn's
+forests pass bootstrap counts as sample weights, and ranger keeps in-bag
+counts: Wright & Ziegler, JSS 77(1), 2017). Node counts and ``min_node``
+still count every draw, and leaf means sum every draw in draw order, so
+the trees are those grown on the draws themselves.
 
 Prediction and out-of-bag errors sum leaf values through ``_tree_sums``,
 one tree at a time in tree order. It packs the ensemble once and hands
@@ -37,10 +42,10 @@ from .frame import IntervalFrame
 from .intervals import PredictionSet
 from .rng import stream
 
-# fit_forest grows trees together in chunks of this many (tree, bootstrap
-# row) samples, or one tree when a tree has more. Chunk boundaries fall at
-# fixed tree indices, so tree t never depends on n_trees. _sums finds the
-# leaves of blocks of as many (tree, query row) pairs.
+# fit_forest grows trees together in chunks of this many bootstrap draws,
+# or one tree when a tree has more. Chunk boundaries fall at fixed tree
+# indices, so tree t never depends on n_trees. _sums finds the leaves of
+# blocks of as many (tree, query row) pairs.
 _CHUNK_SAMPLES = 16_384
 
 # _sums gives each tree on leaf bitvectors one 64-bit word, a bit per leaf, and builds the
@@ -54,7 +59,7 @@ _TABLE_WORDS = 2**17
 class ForestParams:
     n_trees: int = 500
     mtry: int | None = None  # default: a third of the 2p scalar features, at least 2
-    min_node: int = 5
+    min_node: int = 5  # in bootstrap draws, copies of a row included: a node opens at 2 * min_node
     max_depth: int | None = None
     seed: int = 0
 
@@ -89,7 +94,7 @@ class Tree:
     threshold: np.ndarray
     left: np.ndarray
     value: np.ndarray  # leaf mean (0 for internal nodes)
-    count: np.ndarray  # rows reaching the node in the bootstrap sample
+    count: np.ndarray  # bootstrap draws reaching the node, copies of a row included
     bootstrap: np.ndarray  # indices into the training frame, with repetition
 
     @property
@@ -109,17 +114,20 @@ _TREE_ARRAYS = {"feature": np.int64, "threshold": float, "left": np.int64, "righ
 
 
 def _best_splits(
-    xs: np.ndarray, ys: np.ndarray, starts: np.ndarray, min_child: int
+    xs: np.ndarray, ys: np.ndarray, ws: np.ndarray, starts: np.ndarray, min_child: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best split of every node over its candidate features, scored in one pass.
 
-    Row ``j`` of ``xs`` and ``ys`` holds each node's ``j``-th candidate
-    feature and the responses, sorted by that feature within the node; node
-    ``i`` occupies columns ``starts[i]`` up to the next start. A split after
-    column ``a`` puts the node's columns up to ``a`` on the left; it is valid
-    when the feature value changes there and both children keep at least
-    ``min_child`` rows. Gains are computed on node-centered responses, so
-    they keep their precision at any response magnitude.
+    Row ``j`` of ``xs``, ``ys`` and ``ws`` holds each node's ``j``-th
+    candidate feature, the responses and the whole-number weights, sorted
+    by that feature within the node; node ``i`` occupies columns
+    ``starts[i]`` up to the next start. Counts and sums are weighted: a
+    node's count is the sum of its weights, its mean ``sum(w * y) / count``,
+    and each side of a split sums ``w * z`` and ``w``. A split after column
+    ``a`` puts the node's columns up to ``a`` on the left; it is valid when
+    the feature value changes there and both children keep a weight of at
+    least ``min_child``. Gains are computed on node-centered responses
+    ``z``, so they keep their precision at any response magnitude.
 
     Returns per node the winning row and the column of its split. The row
     is -1 when no gain exceeds 1e-12 * max(1, node RSS): the RSS about the
@@ -129,29 +137,40 @@ def _best_splits(
     in another row or the same one, are ties.
     """
     c, a = xs.shape
-    counts = np.diff(np.append(starts, a))
-    seg = np.repeat(np.arange(starts.size), counts)
-    z = ys - (np.add.reduceat(ys[0], starts) / counts)[seg]
-    tol = 1e-12 * np.maximum(1.0, np.add.reduceat(z[0] * z[0], starts))
-    cs = np.cumsum(z, axis=1)
-    before = np.hstack([np.zeros((c, 1)), cs[:, :-1]])[:, starts]
-    total = (cs[:, starts + counts - 1] - before)[:, seg]
-    left = cs - before[:, seg]
-    n_left = np.arange(1, a + 1) - starts[seg]
-    n_right = counts[seg] - n_left
+    size = np.diff(np.append(starts, a))  # columns per node
+
+    def spread(per_node):  # each node's value on each of its columns
+        return np.repeat(per_node, size, axis=-1)
+
+    counts = np.add.reduceat(ws[0], starts)
+    z = ys - spread(np.add.reduceat(ws[0] * ys[0], starts) / counts)
+    wz = ws * z
+    tol = 1e-12 * np.maximum(1.0, np.add.reduceat(wz[0] * z[0], starts))
+    left = np.cumsum(wz, axis=1)  # the running sum, then each column's left-side sum
+    before = np.zeros((c, starts.size))  # the running sum before each node; starts[0] is 0
+    before[:, 1:] = left[:, starts[1:] - 1]
+    node_total = left[:, starts + size - 1] - before
+    left -= spread(before)
+    right = spread(node_total)
+    right -= left
+    n_left = np.cumsum(ws, axis=1)
+    n_left -= spread(n_left[:, starts] - ws[:, starts])
+    n_right = spread(counts) - n_left
     valid = np.zeros((c, a), dtype=bool)
     valid[:, :-1] = xs[:, :-1] < xs[:, 1:]
     valid &= (n_left >= max(1, min_child)) & (n_right >= max(1, min_child))
-    gain = np.where(
-        valid,
-        left * left / n_left + (total - left) ** 2 / np.maximum(n_right, 1)
-        - total * total / counts[seg],
-        -np.inf,
-    )
+    # left² / n_left + right² / max(n_right, 1) - total² / count, in place
+    gain = left * left
+    gain /= n_left
+    right *= right
+    right /= np.maximum(n_right, 1, out=n_right)
+    gain += right
+    gain -= spread(node_total * node_total / counts)
+    gain[~valid] = -np.inf
     top = np.maximum.reduceat(gain, starts, axis=1)
     # the running sum carries rounding from earlier nodes of the row, so
     # exact ties within a feature can differ by a few ulps
-    cols = np.where(gain >= (top - tol)[:, seg], np.arange(a), a)
+    cols = np.where(gain >= spread(top - tol), np.arange(a), a)
     first = np.minimum.reduceat(cols, starts, axis=1)
     row = np.full(starts.size, -1)
     best = np.full(starts.size, -np.inf)
@@ -172,43 +191,52 @@ def grow_trees(
 ) -> list[Tree]:
     """Grow one tree per (bootstrap, generator) pair, all of them level by level.
 
-    A sample is a (tree, bootstrap row) pair, and its node at the current
-    level is the only state kept between levels. A node is open when it
-    holds at least 2 * min_node samples and lies above max_depth. At each
-    level a tree draws the candidate features of all its open nodes in one
-    call, ``rng.random((k, m)).argsort(axis=1)[:, :mtry]``, unless
-    ``mtry == m``, when every feature is a candidate and nothing is drawn.
-    The open samples are then sorted for each candidate by (node, rank of
-    the row's feature value), and ``_best_splits`` scores every open node
-    of every tree at once. An open node without a valid split becomes a
-    leaf, as does every node that is not open. Leaf values are bootstrap
-    means. Nodes are numbered level by level, so children always come after
-    their parent, and a split node's right child directly follows its left.
+    A sample is a tree's distinct bootstrap row, weighted by how many times
+    the tree drew it, and its node at the current level is the only state
+    kept between levels. Counts are weighted, so a node's count is its
+    bootstrap draws, copies included. A node is open when it holds at least
+    2 * min_node draws and lies above max_depth. At each level a tree draws
+    the candidate features of all its open nodes in one call,
+    ``rng.random((k, m)).argsort(axis=1)[:, :mtry]``, unless ``mtry == m``,
+    when every feature is a candidate and nothing is drawn. The open samples
+    are then sorted for each candidate by (node, rank of the row's feature
+    value), and ``_best_splits`` scores every open node of every tree at
+    once. An open node without a valid split becomes a leaf, as does every
+    node that is not open. Leaf values are bootstrap means: after the last
+    level each draw goes to its sample's leaf, and one ``bincount`` adds the
+    draws' responses in draw order. Nodes are numbered level by level, so
+    children always come after their parent, and a split node's right child
+    directly follows its left.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n_trees = len(bootstraps)
-    m = X.shape[1]
+    n, m = X.shape
     mtry = params.resolved_mtry(m)
     min_node = params.min_node
-    rows = np.concatenate(bootstraps).astype(np.int64)
+    draws = np.concatenate(bootstraps).astype(np.int64)
+    # drawn[t * n + r]: how many times tree t drew row r; samples come by tree, then row
+    tree_row = np.repeat(np.arange(n_trees), [b.size for b in bootstraps]) * n + draws
+    drawn = np.bincount(tree_row, minlength=n_trees * n)
+    present = np.flatnonzero(drawn)
+    sample_of_draw = (np.cumsum(drawn > 0) - 1)[tree_row]
+    w = drawn[present].astype(float)
+    rows = present % n
     Xs, ys = X[rows], y[rows]
-    n = X.shape[0]
     # rank[s, f]: place of sample s's row in feature f; rows that tie in X go by row index
     rank = np.argsort(np.argsort(X, axis=0, kind="stable"), axis=0, kind="stable")[rows]
 
-    # each sample's node at the current level, -1 once in a leaf
-    node_of = np.repeat(np.arange(n_trees), [b.size for b in bootstraps])
+    node_of = present // n  # each sample's node at the current level, -1 once in a leaf
+    leaf_of = np.empty(present.size, dtype=np.int64)  # its leaf's place among all levels' nodes
     level_tree = np.arange(n_trees)  # tree of each node at the current level
     n_nodes = np.ones(n_trees, dtype=np.int64)
     levels = []
-    depth = 0
+    depth = first_node = 0  # first_node: how many nodes the earlier levels hold
     while level_tree.size:
         k = level_tree.size
         live = np.flatnonzero(node_of >= 0)
         node = node_of[live]
-        count = np.bincount(node, minlength=k)
-        value = np.bincount(node, weights=ys[live], minlength=k) / count
+        count = np.bincount(node, weights=w[live], minlength=k).astype(np.int64)
         feature = np.full(k, -1, dtype=np.int64)
         threshold = np.zeros(k)
         is_open = count >= 2 * min_node
@@ -217,21 +245,22 @@ def grow_trees(
         opened = np.flatnonzero(is_open)
         split = opened[:0]
         if opened.size:
-            cand = _draw_candidates(rngs, level_tree[opened], m, mtry)
+            cand = _draw_candidates(rngs, level_tree[opened], m, mtry).T  # a row per candidate
             samples = live[is_open[node]]
             q = (np.cumsum(is_open) - 1)[node_of[samples]]  # each sample's open-node index
-            # keys tie only between bootstrap copies of one row, which agree in
-            # every feature and the response, so an unstable sort gives the same trees
-            key = q * n + rank[samples, cand[q].T]
+            # a row is at most one sample of a tree, so keys are unique within an open
+            # node, and the unstable sort still orders every node one way. rank[s, f] and
+            # Xs[s, f] are read flat, at s * m + f, which takes half the time of 2-D indexing
+            key = q * n + rank.ravel()[samples * m + cand[:, q]]
             samples = samples[np.argsort(key, axis=1)]
+            size = np.bincount(q, minlength=opened.size)  # samples per open node
             # each open node's candidates, spread over its samples
-            feat = cand[np.repeat(np.arange(opened.size), count[opened])].T
-            xs = Xs[samples, feat]
-            starts = np.cumsum(count[opened]) - count[opened]
-            row, col = _best_splits(xs, ys[samples], starts, min_node)
+            xs = Xs.ravel()[samples * m + np.repeat(cand, size, axis=1)]
+            row, col = _best_splits(xs, ys[samples], w[samples], np.cumsum(size) - size,
+                                    min_node)
             ok = row >= 0
             split = opened[ok]
-            feature[split] = cand[ok, row[ok]]
+            feature[split] = cand[row[ok], ok]
             threshold[split] = 0.5 * (xs[row[ok], col[ok]] + xs[row[ok], col[ok] + 1])
 
         # children: the r-th split node of a tree at this level gets ids n + 2r, n + 2r + 1
@@ -241,43 +270,47 @@ def grow_trees(
             n_nodes[split_tree] + 2 * (np.arange(split.size) - np.searchsorted(split_tree, split_tree))
         )
         n_nodes += 2 * np.bincount(split_tree, minlength=n_trees)
-        levels.append((level_tree, feature, threshold, left, np.where(feature >= 0, 0.0, value),
-                       count))
+        levels.append((level_tree, feature, threshold, left, count))
 
         # each sample moves to its child's index at the next level, 2q or 2q + 1 for split q
         child = np.full(k, -1, dtype=np.int64)
         child[split] = 2 * np.arange(split.size)
         go_right = Xs[live, feature[node]] > threshold[node]
         node_of[live] = np.where(child[node] >= 0, child[node] + go_right, -1)
+        ended = child[node] < 0
+        leaf_of[live[ended]] = first_node + node[ended]
+        first_node += k
         level_tree = np.repeat(split_tree, 2)
         depth += 1
 
+    level_tree, feature, threshold, left, count = (np.concatenate(c) for c in zip(*levels))
+    # bincount adds in input order, so each leaf sums its draws' responses in draw order
+    sums = np.bincount(leaf_of[sample_of_draw], weights=y[draws], minlength=feature.size)
+    leaf = feature < 0
+    value = np.zeros(feature.size)
+    value[leaf] = sums[leaf] / count[leaf]
     # within a tree, levels and the nodes of a level come in id order
-    columns = [np.concatenate(c) for c in zip(*levels)]
-    by_tree = np.argsort(columns[0], kind="stable")
-    bounds = np.cumsum(n_nodes)[:-1]
-    arrays = [np.split(c[by_tree], bounds) for c in columns[1:]]
+    by_tree = np.argsort(level_tree, kind="stable")
+    arrays = [a[by_tree] for a in (feature, threshold, left, value, count)]
+    ends = np.cumsum(n_nodes)
     return [
-        Tree(*(a[t] for a in arrays), np.asarray(boot, dtype=np.int64))
-        for t, boot in enumerate(bootstraps)
+        Tree(*(a[lo:hi] for a in arrays), np.asarray(boot, dtype=np.int64))
+        for boot, lo, hi in zip(bootstraps, (ends - n_nodes).tolist(), ends.tolist())
     ]
 
 
 def _draw_candidates(
     rngs: list[np.random.Generator], node_tree: np.ndarray, m: int, mtry: int
 ) -> np.ndarray:
-    """Sorted candidate features of each node; one draw per tree, nodes grouped by tree.
+    """Sorted candidate features of each node; one draw per tree, nodes in tree order.
 
     With ``mtry == m`` every feature is a candidate and no generator is drawn from.
     """
     if mtry == m:
         return np.broadcast_to(np.arange(m), (node_tree.size, m))
-    cand = np.empty((node_tree.size, mtry), dtype=np.int64)
-    trees, first, per_tree = np.unique(node_tree, return_index=True, return_counts=True)
-    for t, i, k in zip(trees.tolist(), first.tolist(), per_tree.tolist()):
-        cand[i : i + k] = rngs[t].random((k, m)).argsort(axis=1)[:, :mtry]
-    cand.sort(axis=1)
-    return cand
+    trees, per_tree = np.unique(node_tree, return_counts=True)
+    draws = [rngs[t].random((k, m)) for t, k in zip(trees.tolist(), per_tree.tolist())]
+    return np.sort(np.concatenate(draws).argsort(axis=1)[:, :mtry], axis=1)
 
 
 @dataclass

@@ -267,6 +267,76 @@ class TestLevelWiseBuilder:
         assert all(t.n_leaves == 1 for t in fit.center_trees + fit.radius_trees)
 
 
+class TestDistinctRows:
+    """Growth scores each tree's distinct bootstrap rows, weighted by how many times each
+    was drawn; counts, ``min_node`` and leaf means still count every draw."""
+
+    def test_growth_scores_only_distinct_rows(self, monkeypatch):
+        calls = []
+        best_splits = forest._best_splits
+
+        def record(xs, *args):
+            calls.append(xs.shape)
+            return best_splits(xs, *args)
+
+        monkeypatch.setattr(forest, "_best_splits", record)
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(40, 2))
+        y = rng.normal(size=40)
+        boot = rng.permutation(np.repeat(rng.choice(40, 8, replace=False), 5))
+        tree = grow_tree(boot, y, X, ForestParams(min_node=2, mtry=2), stream("t", 0))
+        assert calls[0] == (2, np.unique(boot).size) == (2, 8)
+        assert tree.count[0] == boot.size == 40
+
+    @pytest.mark.parametrize("copies, splits", [(4, False), (5, True)])
+    def test_min_node_counts_copies(self, copies, splits):
+        """Row 0 alone is below rows 1-6, which tie in X but differ in y, so the only split
+        leaves row 0's copies on the left."""
+        X = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])[:, None]
+        y = np.array([50.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        boot = np.array([1, 2, 0, 3, 4, 5, 6] + [0] * (copies - 1))
+        tree = grow_tree(boot, y, X, ForestParams(min_node=5, mtry=1), stream("t", 1))
+        if splits:
+            assert tree.feature.tolist() == [0, -1, -1]
+            assert tree.threshold[0] == 0.5
+            assert tree.count.tolist() == [6 + copies, copies, 6]
+        else:
+            assert tree.feature.tolist() == [-1]
+            assert tree.count.tolist() == [6 + copies]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_leaf_value_is_the_draw_order_mean(self, seed):
+        """Each leaf's value has the bytes of its routed draws' responses summed in draw
+        order, then divided by its count."""
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(30, 3)), 1)  # rows that tie in X
+        y = 1e4 + rng.normal(size=30) * 10.0 ** rng.integers(-3, 4, 30)
+        boot = rng.choice(rng.choice(30, 9, replace=False), 60)  # about 7 copies of a row
+        tree = grow_tree(boot, y, X, ForestParams(min_node=3, mtry=2), stream("t", seed))
+        assert tree.n_leaves > 2
+        leaf = leaf_of(tree, X[boot])
+        for node in np.flatnonzero(tree.feature < 0).tolist():
+            total = 0.0
+            for row in boot[leaf == node].tolist():
+                total += float(y[row])
+            assert tree.count[node] == np.sum(leaf == node)
+            assert tree.value[node].tobytes() == np.float64(total / tree.count[node]).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_splits_depend_only_on_multiplicities(self, seed):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(50, 4)), 1)  # rows that tie in X
+        y = rng.normal(size=50)
+        boot = rng.choice(rng.choice(50, 20, replace=False), 50)
+        params = ForestParams(min_node=2, mtry=2)
+        a = grow_tree(boot, y, X, params, stream("t", seed))
+        b = grow_tree(rng.permutation(boot), y, X, params, stream("t", seed))
+        assert a.n_leaves > 2
+        for name in ("feature", "threshold", "left", "count"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        np.testing.assert_allclose(a.value, b.value, rtol=1e-12)
+
+
 class TestFitForest:
     def small_frame(self, n=60, seed=9):
         rng = np.random.default_rng(seed)
@@ -436,8 +506,8 @@ class TestSerialization:
             forest_from_json('{"model": "ke"}')
 
 
-def route(tree, X):
-    """Leaf value of every row of X in one tree, stepping all rows together."""
+def leaf_of(tree, X):
+    """Leaf node of every row of X in one tree, stepping all rows together."""
     node = np.zeros(X.shape[0], dtype=np.int64)
     rows = np.arange(X.shape[0])
     while np.any(tree.feature[node] >= 0):
@@ -445,7 +515,12 @@ def route(tree, X):
         below = X[rows, np.maximum(f, 0)] <= tree.threshold[node]
         child = np.where(below, tree.left[node], tree.right[node])
         node = np.where(f >= 0, child, node)
-    return tree.value[node]
+    return node
+
+
+def route(tree, X):
+    """Leaf value of every row of X in one tree."""
+    return tree.value[leaf_of(tree, X)]
 
 
 def preorder(tree):
