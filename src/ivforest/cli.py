@@ -171,7 +171,7 @@ def cmd_evaluate(pred_path, truth_path, response, out_path):
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Parse '1,3,5-7' into (1, 3, 5, 6, 7)."""
+    """Parse '1,3,5-7' into (1, 3, 5, 6, 7); a value listed twice is a ConfigError."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -187,6 +187,11 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         out.extend(range(lo, hi + 1))
     if not out:
         raise errors.ConfigError(f"empty list spec {text!r}")
+    seen: set[int] = set()
+    for value in out:
+        if value in seen:
+            raise errors.ConfigError(f"{value} is listed twice in list spec {text!r}")
+        seen.add(value)
     return tuple(out)
 
 
@@ -224,24 +229,15 @@ def cmd_bench(settings, sizes, reps, models, seed, train_fraction, trees, mtry, 
         fits_forest = "rf" in model_names(model_list)  # which also checks the names
         resolve_workers(workers)  # checked as for the grid; the real split runs in one process
         fraction = 0.8 if train_fraction is None else train_fraction
-        # checked before the out-dir is made, as ExperimentSpec checks the grid's settings
-        split(frame, SplitSpec(fraction, mode=split_mode, seed=seed, train_count=train_count))
+        # split before the out-dir is made, as ExperimentSpec checks the grid's settings
+        train, test = split(frame, SplitSpec(fraction, mode=split_mode, seed=seed,
+                                             train_count=train_count))
         n_features = [frame.features().shape[1]] if fits_forest else []
         check_fit_settings(bandwidth, n_features, n_trees=trees, mtry=mtry, min_node=min_node)
         out.mkdir(parents=True, exist_ok=True)  # before the fits, so a bad --out-dir fails fast
-        reports, predictions = run_real_data(
-            frame,
-            models=model_list,
-            train_fraction=fraction,
-            train_count=train_count,
-            mode=split_mode,
-            seed=seed,
-            n_trees=trees,
-            mtry=mtry,
-            min_node=min_node,
-            kernel=kernel,
-            bandwidth=bandwidth,
-        )
+        reports, predictions = run_real_data(train, test, model_list, seed, kernel=kernel,
+                                             bandwidth=bandwidth, n_trees=trees, mtry=mtry,
+                                             min_node=min_node)
         (out / "summary.csv").write_text(real_summary_csv(reports), encoding="utf-8")
         for m, pred in predictions.items():
             (out / f"predictions_{m}.csv").write_text(predictions_csv(pred), encoding="utf-8")

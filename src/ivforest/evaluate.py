@@ -6,6 +6,8 @@ requested model, and scores center and radius predictions on the held-out
 rows with out-of-sample R-squared, MSE, and MAE. Replications are
 independent jobs keyed by seeds derived from the master seed, so results
 are byte-reproducible regardless of worker count or completion order.
+:func:`run_real_data` runs the same fit, predict and score loop on one
+given (train, test) split of a real dataset.
 """
 
 from __future__ import annotations
@@ -116,6 +118,9 @@ class ExperimentSpec:
                       if "rf" in self.models and self.mtry is not None else [])
         check_fit_settings(self.bandwidth, n_features, n_trees=self.n_trees, mtry=self.mtry,
                            min_node=self.min_node)
+        for n in self.total_sizes:  # with the errors a cell would raise, before any cell runs
+            SimSetting(SETTING_IDS[0], n)  # every setting takes the same sizes
+            SplitSpec(self.train_fraction).n_train(n)
 
 
 @dataclass(frozen=True)
@@ -150,6 +155,16 @@ class ExperimentResult:
         }
 
 
+def _fit_predict_score(models: tuple[str, ...], train: IntervalFrame, test: IntervalFrame,
+                       seed: int, **hyper):
+    """Yield (model, predictions, report, seconds) per model, timing fit, predict and score."""
+    for model in models:
+        t0 = time.perf_counter()
+        pred = predict_model(fit_model(model, train, seed, **hyper), test)
+        report = evaluate_frame(pred, test)
+        yield model, pred, report, time.perf_counter() - t0
+
+
 def _run_cell(args: tuple) -> list[CellRecord]:
     spec, setting, total_n, rep = args
     rep_seed = derive_seed("rep", spec.master_seed, setting, total_n, rep)
@@ -157,14 +172,11 @@ def _run_cell(args: tuple) -> list[CellRecord]:
     train, test = split(
         frame, SplitSpec(spec.train_fraction, mode="random", seed=rep_seed)
     )
-    records: list[CellRecord] = []
-    for model in spec.models:
-        t0 = time.perf_counter()
-        fit = fit_model(model, train, rep_seed, spec.kernel, spec.bandwidth, n_trees=spec.n_trees,
-                        mtry=spec.mtry, min_node=spec.min_node)
-        report = evaluate_frame(predict_model(fit, test), test)
-        records.append(CellRecord(setting, train.n, rep, model, report, time.perf_counter() - t0))
-    return records
+    runs = _fit_predict_score(spec.models, train, test, rep_seed, kernel=spec.kernel,
+                              bandwidth=spec.bandwidth, n_trees=spec.n_trees, mtry=spec.mtry,
+                              min_node=spec.min_node)
+    return [CellRecord(setting, train.n, rep, model, report, seconds)
+            for model, _, report, seconds in runs]
 
 
 def resolve_workers(requested: int | None) -> int:
@@ -291,27 +303,17 @@ def read_predictions_csv(path) -> PredictionSet:
 
 
 def run_real_data(
-    frame: IntervalFrame,
+    train: IntervalFrame,
+    test: IntervalFrame,
     models: tuple[str, ...] = ("ccrm", "rf"),
-    train_fraction: float = 0.8,
-    train_count: int | None = None,
-    mode: str = "chronological",
     seed: int = 0,
     **hyper,
 ) -> tuple[dict, dict]:
-    """Single-dataset comparison: split, fit each model, score on the test part.
+    """Single-dataset comparison on one :func:`frame.split`: fit each model, score on ``test``.
 
     ``hyper`` holds :func:`fit_model`'s hyperparameters (kernel, bandwidth,
     n_trees, mtry, ...). Returns (reports, predictions), keyed by model name.
     """
-    models = model_names(models)
-    train, test = split(
-        frame, SplitSpec(train_fraction, mode=mode, seed=seed, train_count=train_count)
-    )
-    reports: dict[str, EvalReport] = {}
-    predictions: dict[str, PredictionSet] = {}
-    for model in models:
-        pred = predict_model(fit_model(model, train, derive_seed("real", seed), **hyper), test)
-        predictions[model] = pred
-        reports[model] = evaluate_frame(pred, test)
-    return reports, predictions
+    runs = list(_fit_predict_score(model_names(models), train, test, derive_seed("real", seed),
+                                   **hyper))
+    return {m: report for m, _, report, _ in runs}, {m: pred for m, pred, _, _ in runs}

@@ -96,6 +96,16 @@ class SplitSpec:
         if self.mode not in ("random", "chronological"):
             raise SplitError(f"unknown split mode {self.mode!r}")
 
+    def n_train(self, n: int) -> int:
+        """Train rows of a split of ``n`` rows; fewer than 2, or no test row, is a SplitError."""
+        if self.train_count is not None:
+            n_train = int(self.train_count)
+        else:
+            n_train = int(np.floor(self.train_fraction * n + 0.5))
+        if n_train < 2 or n - n_train < 1:
+            raise SplitError(f"split of {n} rows gives train={n_train}, test={n - n_train}")
+        return n_train
+
 
 @dataclass
 class CoherenceReport:
@@ -239,12 +249,7 @@ def split(frame: IntervalFrame, spec: SplitSpec) -> tuple[IntervalFrame, Interva
     half-up. ``train_count`` overrides the fraction exactly.
     """
     n = frame.n
-    if spec.train_count is not None:
-        n_train = int(spec.train_count)
-    else:
-        n_train = int(np.floor(spec.train_fraction * n + 0.5))
-    if n_train < 2 or n - n_train < 1:
-        raise SplitError(f"split of {n} rows gives train={n_train}, test={n - n_train}")
+    n_train = spec.n_train(n)
     if spec.mode == "chronological":
         train_rows = np.arange(n_train)
         test_rows = np.arange(n_train, n)

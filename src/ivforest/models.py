@@ -30,11 +30,13 @@ FORMAT_VERSION = 1
 
 
 def model_names(names) -> tuple[str, ...]:
-    """Lower-cased model names, each checked against :data:`MODELS`."""
+    """Lower-cased model names, each checked against :data:`MODELS` and listed once."""
     names = tuple(m.lower() for m in names)
-    for m in names:
+    for i, m in enumerate(names):
         if m not in MODELS:
             raise ConfigError(f"unknown model {m!r}; choose from {', '.join(MODELS)}")
+        if m in names[:i]:
+            raise ConfigError(f"model {m!r} is listed twice")
     if not names:
         raise ConfigError("no models requested")
     return names

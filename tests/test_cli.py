@@ -414,6 +414,30 @@ class TestBenchCommand:
                    "--models", "ccrm", "--out-dir", str(tmp_path / "bb")) == 2
         assert not (tmp_path / "bb").exists()
 
+    # checked with the exit code and message a grid cell would give, before any cell runs
+    GRID_FAULTS = [
+        ({"--sizes": "12"}, 3, "SplitError: split of 12 rows gives train=1, test=11"),
+        ({"--sizes": "1"}, 2, "UnknownSettingError: need n >= 2 rows, got 1"),
+        ({"--sizes": "500,12"}, 3, "SplitError: split of 12 rows gives train=1, test=11"),
+        ({"--sizes": "120", "--train-fraction": "0.999"}, 3, "gives train=120, test=0"),
+        ({"--settings": "1-2,2"}, 2, "ConfigError: 2 is listed twice in list spec '1-2,2'"),
+        ({"--sizes": "120,100-130"}, 2, "ConfigError: 120 is listed twice"),
+        ({"--models": "ccrm,ccrm"}, 2, "ConfigError: model 'ccrm' is listed twice"),
+        ({"--models": "ccrm,rf,CCRM"}, 2, "ConfigError: model 'ccrm' is listed twice"),
+    ]
+
+    @pytest.mark.parametrize("flags, code, message", GRID_FAULTS, ids=[
+        " ".join(f"{key} {val}" for key, val in flags.items()) for flags, _, _ in GRID_FAULTS])
+    def test_grid_checks_sizes_and_duplicates_before_out_dir(self, tmp_path, capsys, flags, code,
+                                                             message):
+        args = {"--settings": "1", "--sizes": "120", "--reps": "1", "--models": "ccrm",
+                "--workers": "1", **flags}
+        out = tmp_path / "grid"
+        argv = [x for pair in args.items() for x in pair]
+        assert run("bench", *argv, "--out-dir", str(out)) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_bandwidth_leaves_no_out_dir(self, tmp_path):
         assert run("bench", "--settings", "1", "--sizes", "120", "--reps", "1", "--models", "ke",
                    "--bandwidth", "inf", "--workers", "1", "--out-dir", str(tmp_path / "bw")) == 2
@@ -496,6 +520,8 @@ class TestBenchCommand:
         (["--train-fraction", "1.5"], 3),
         (["--models", "ccrm", "--train-count", "500"], 3),
         (["--models", "rf", "--mtry", "50"], 2),
+        (["--models", "ccrm,rf,ccrm"], 2),
+        (["--models", "ccrm,CCRM"], 2),
     ], ids=lambda flags: " ".join(flags) if isinstance(flags, list) else None)
     def test_real_mode_checks_inputs_before_out_dir(self, tmp_path, flags, code):
         data = simulate_csv(tmp_path, setting=5, n=150)

@@ -16,7 +16,7 @@ from ivforest.evaluate import (
     run_real_data,
     summary_csv,
 )
-from ivforest.frame import IntervalFrame
+from ivforest.frame import IntervalFrame, SplitSpec, split
 from ivforest.intervals import PredictionSet
 
 
@@ -194,15 +194,15 @@ class TestRealData:
 
     def test_pipeline_runs_and_rf_radius_nonnegative(self):
         frame = self.stock_like_frame()
-        reports, predictions = run_real_data(
-            frame, models=("ccrm", "rf"), train_fraction=0.8, mode="chronological",
-            seed=3, n_trees=25,
-        )
+        train, test = split(frame, SplitSpec(0.8, mode="chronological", seed=3))
+        reports, predictions = run_real_data(train, test, models=("ccrm", "rf"), seed=3,
+                                             n_trees=25)
         assert set(reports) == {"ccrm", "rf"}
         assert np.all(predictions["rf"].radius >= 0)
         assert reports["rf"].n_test == frame.n - int(np.floor(0.8 * frame.n + 0.5))
 
     def test_train_count_override(self):
         frame = self.stock_like_frame(n=100)
-        reports, _ = run_real_data(frame, models=("ccrm",), train_count=77, seed=0)
+        train, test = split(frame, SplitSpec(0.8, mode="chronological", train_count=77))
+        reports, _ = run_real_data(train, test, models=("ccrm",), seed=0)
         assert reports["ccrm"].n_test == 23

@@ -1,11 +1,13 @@
 """The behaviour contract: regenerated outputs against the committed copies in ``golden/``.
 
 The copies are a bench grid's ``results.csv`` and ``summary.csv``, the ``ivf predict`` CSV
-of a setting-7 forest whose prediction takes both leaf bitvectors and the walk, and the
-``ivf fit`` model files of a small ccrm, ke and rf fit. On the numpy version recorded in
-``golden/numpy-version`` they must match byte for byte. numpy's SIMD reductions can differ
-by an ulp across releases, so on any other version every CSV field that parses as a number,
-and every JSON number, must match to a relative 1e-12, and every other field exactly.
+of a setting-7 forest whose prediction takes both leaf bitvectors and the walk, the
+``ivf fit`` model files of a small ccrm, ke and rf fit, and the ``summary.csv`` and rf
+predictions of an ``ivf bench --real`` run of all five models on the fit's data. On the
+numpy version recorded in ``golden/numpy-version`` they must match byte for byte. numpy's
+SIMD reductions can differ by an ulp across releases, so on any other version every CSV
+field that parses as a number, and every JSON number, must match to a relative 1e-12, and
+every other field exactly.
 
 Regenerate the copies with ``PYTHONPATH=src python tests/test_golden.py``, and say in the
 change log which bytes moved and why.
@@ -28,6 +30,7 @@ BENCH = ["bench", "--settings", "1-7", "--sizes", "200,1000", "--reps", "2", "--
          "ccrm,ke,rf", "--trees", "20", "--seed", "31337", "--workers", "1"]
 REL_TOL = 1e-12
 FIT_MODELS = ("ccrm", "ke", "rf")  # fitted with `ivf fit` on 120 setting-5 rows, rf with 10 trees
+REAL = ["--models", "ccrm,crm,minmax,ke,rf", "--trees", "10", "--seed", "2"]  # on the same rows
 
 
 def golden_outputs(workdir: Path) -> dict:
@@ -38,6 +41,7 @@ def golden_outputs(workdir: Path) -> dict:
     for model in FIT_MODELS:
         assert main(["fit", "--model", model, "--in", str(data), "--trees", "10", "--seed", "1",
                      "--out", str(workdir / f"fit_{model}.json")]) == 0
+    assert main(["bench", "--real", str(data), *REAL, "--out-dir", str(workdir / "real")]) == 0
     # setting 7 draws negative response radii, which `ivf fit` rejects as inverted bounds,
     # so the forest is fitted here and only the prediction goes through the CLI
     fit = fit_model("rf", simulate(SimSetting(7, 400, 1)), 7, n_trees=20)
@@ -52,6 +56,8 @@ def golden_outputs(workdir: Path) -> dict:
         "summary.csv": workdir / "bench" / "summary.csv",
         "predict_rf_setting7.csv": workdir / "predict_rf_setting7.csv",
         **{f"fit_{model}.json": workdir / f"fit_{model}.json" for model in FIT_MODELS},
+        "real_summary.csv": workdir / "real" / "summary.csv",
+        "real_predictions_rf.csv": workdir / "real" / "predictions_rf.csv",
     }
 
 
