@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import sys
-from importlib import metadata
 from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
-from . import errors
+from . import __version__, errors
 from .evaluate import (
     ExperimentSpec,
     evaluate_frame,
@@ -57,19 +57,12 @@ _NUMERIC_ERRORS = (errors.NumericError, errors.UnderdeterminedError, errors.OOBU
                    FloatingPointError)
 
 
-def _version() -> str:
-    try:
-        return metadata.version("ivforest")
-    except metadata.PackageNotFoundError:
-        return "0.0.0"
-
-
 def _write_manifest(target: Path, command: str, config: dict) -> None:
     doc = {
         "command": command,
         "config": config,
         "versions": {
-            "ivforest": _version(),
+            "ivforest": __version__,  # the same from the source tree as when installed
             "numpy": np.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
@@ -195,6 +188,20 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+# options that one mode of `ivf bench` reads and the other never would
+_GRID_ONLY = ("settings", "sizes", "reps")
+_REAL_ONLY = ("response", "train_count", "split_mode")
+
+
+def _check_mode_options(ctx: click.Context, real: bool) -> None:
+    """Raise a usage error naming an option given that the chosen bench mode never reads."""
+    unread = _GRID_ONLY if real else _REAL_ONLY
+    for param in ctx.command.params:
+        if param.name in unread and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT:
+            where = "by the simulation grid, not with --real" if real else "with --real"
+            raise click.UsageError(f"{param.opts[0]} is read only {where}")
+
+
 @cli.command("bench")
 @click.option("--settings", default="1-7", show_default=True, help="e.g. '1-4' or '1,3,5-7'.")
 @click.option("--sizes", default="500,1000,2000", show_default=True, help="Total dataset sizes.")
@@ -216,23 +223,23 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 @click.option("--train-count", type=int, default=None, help="Exact train size for the real split.")
 @click.option("--split-mode", type=click.Choice(["chronological", "random"]),
               default="chronological", show_default=True, help="Split mode for the real CSV.")
-def cmd_bench(settings, sizes, reps, models, seed, train_fraction, trees, mtry, min_node,
+@click.pass_context
+def cmd_bench(ctx, settings, sizes, reps, models, seed, train_fraction, trees, mtry, min_node,
               kernel, bandwidth, workers, out_dir, real_path, response, train_count, split_mode):
     """Run the benchmark grid (or a real dataset) and write results + summary CSVs."""
+    _check_mode_options(ctx, real=real_path is not None)
     out = Path(out_dir)
     model_list = tuple(m.strip() for m in models.split(",") if m.strip())
 
     if real_path is not None:
         frame = load_csv(real_path, response=response)
-        if reps < 1:
-            raise errors.ConfigError(f"reps must be >= 1, got {reps}")
-        fits_forest = "rf" in model_names(model_list)  # which also checks the names
+        model_list = model_names(model_list)
         resolve_workers(workers)  # checked as for the grid; the real split runs in one process
         fraction = 0.8 if train_fraction is None else train_fraction
         # split before the out-dir is made, as ExperimentSpec checks the grid's settings
         train, test = split(frame, SplitSpec(fraction, mode=split_mode, seed=seed,
                                              train_count=train_count))
-        n_features = [frame.features().shape[1]] if fits_forest else []
+        n_features = [frame.features().shape[1]] if "rf" in model_list else []
         check_fit_settings(bandwidth, n_features, n_trees=trees, mtry=mtry, min_node=min_node)
         out.mkdir(parents=True, exist_ok=True)  # before the fits, so a bad --out-dir fails fast
         reports, predictions = run_real_data(train, test, model_list, seed, kernel=kernel,

@@ -9,16 +9,19 @@ validation on the summed squared center and radius residuals.
 
 Distances are weighted in blocks of rows of about ``_BLOCK_ENTRIES``
 entries (loop tiling: Wolf & Lam, PLDI 1991), so a block's distances and
-weights stay in cache. Prediction builds one block of query distances at a
-time, so its memory does not grow with queries x training rows. The LOO
-search holds the training rows' n x n distance matrix and scores every
-grid bandwidth on a block before it moves to the next. Blocking changes no
-operation, so results carry the same bytes as on the whole matrix.
+weights stay in cache. Prediction and the LOO search build one block of
+distances at a time, so their memory does not grow with queries x training
+rows or with the square of the training rows. The search scores every grid
+bandwidth on a block before it moves to the next, and finds the default
+grid's median pair distance by exact selection over blocks. Blocking
+changes no operation, so results carry the same bytes as on the whole
+matrix.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,9 @@ KERNELS = ("gaussian", "epanechnikov", "triangular", "uniform")
 # multiple of 8 rows: OpenBLAS's `w @ y` sums the rows past the last multiple
 # of 4 in another order, so other block heights can change a result's last bits
 _BLOCK_ENTRIES = 2**16
+# the median search counts distances in 2**_BUCKET_BITS buckets of their bit pattern per pass
+_BUCKET_BITS = 16
+_INF_BITS = int(np.array(np.inf).view(np.int64))  # every nonnegative double's bits lie in [0, this]
 
 
 def kernel_weight(name: str, u: np.ndarray) -> np.ndarray:
@@ -117,6 +123,11 @@ def _weighted_average(
     return centers, radii, ~ok
 
 
+def _block_rows(n: int) -> int:
+    """Height of a block of distance rows against ``n`` training rows."""
+    return max(8, _BLOCK_ENTRIES // max(1, n) // 8 * 8)
+
+
 def _blocked_averages(
     distances, m: int, hs: list[float], kernel: str, y_center: np.ndarray, y_radius: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,7 +140,7 @@ def _blocked_averages(
     """
     centers, radii = np.empty((len(hs), m)), np.empty((len(hs), m))
     fallback = np.empty((len(hs), m), dtype=bool)
-    step = max(8, _BLOCK_ENTRIES // max(1, y_center.size) // 8 * 8)
+    step = _block_rows(y_center.size)
     for start in range(0, m, step):
         rows = slice(start, start + step)
         d = distances(rows)
@@ -161,23 +172,102 @@ def predict_kernel_frame(fit: KernelFit, frame: IntervalFrame) -> PredictionSet:
     return predict_kernel_rows(fit, frame.features())
 
 
-def default_grid(d: np.ndarray) -> np.ndarray:
+def _pair_bits(feats: np.ndarray):
+    """Bit patterns, as int64, of the distances of every row pair i < j, one row block at a time.
+
+    Adding 0.0 turns a -0.0 into 0.0, so that the distances order like their bits.
+    """
+    n = feats.shape[0]
+    step = _block_rows(n)
+    for start in range(0, n - 1, step):
+        d = hyper_distance(feats[start:start + step], feats)[:, start + 1:]
+        later = np.arange(start + 1, n) > np.arange(start, start + d.shape[0])[:, None]
+        yield (d[later] + 0.0).view(np.int64)
+
+
+def _pair_median(feats: np.ndarray) -> float:
+    """``np.median`` of the distances of every row pair i < j, without holding them all.
+
+    Exact selection over row blocks (after Floyd & Rivest, CACM 18(3), 1975).
+    While more than ``8 * _BLOCK_ENTRIES`` distances may hold the middle
+    ranks, a pass counts the distances whose bits lie in [lo, hi] per bucket
+    of ``2**shift`` patterns and narrows [lo, hi] to the bucket that holds
+    both middle ranks. Then one pass gathers the distances in [lo, hi] and
+    a partition finishes. A bucket of a single pattern holds equal
+    values, and middle ranks split between two buckets are the largest
+    distance of one and the smallest of the next, so neither case gathers.
+    Two middle values are averaged as ``np.median`` averages them.
+    """
+    def within(bits, lo, hi):
+        return bits[(bits >= lo) & (bits <= hi)]
+
+    n = feats.shape[0]
+    count = n * (n - 1) // 2
+    ranks = ((count - 1) // 2, count // 2)  # one rank twice when the count is odd
+    lo, hi, below, held = 0, _INF_BITS, 0, count  # below: the distances whose bits are under lo
+    pair = None
+    while pair is None and held > 8 * _BLOCK_ENTRIES:
+        shift = max(0, (hi - lo).bit_length() - _BUCKET_BITS)
+        counts = np.zeros(2**_BUCKET_BITS, dtype=np.int64)
+        for bits in _pair_bits(feats):
+            kept = np.bincount((within(bits, lo, hi) - lo) >> shift)
+            counts[:kept.size] += kept
+        if counts.sum() < held:
+            return math.nan  # a NaN's bits lie above inf's, and np.median gives NaN
+        ends = below + np.cumsum(counts)  # one past each bucket's last rank
+        first, last = (int(np.searchsorted(ends, r, side="right")) for r in ranks)
+        below = int(ends[first - 1]) if first else below
+        held = int(ends[last]) - below
+        mid = lo + ((first + 1) << shift)
+        lo, hi = lo + (first << shift), min(hi, lo + ((last + 1) << shift) - 1)
+        if shift == 0:  # each bucket is one bit pattern
+            pair = [lo, hi]
+        elif first != last:
+            # the low middle rank ends its bucket, and the high one opens the next nonempty one
+            pair = [-1, hi]
+            for bits in _pair_bits(feats):
+                pair[0] = max(pair[0], int(within(bits, lo, mid - 1).max(initial=-1)))
+                pair[1] = min(pair[1], int(within(bits, mid, hi).min(initial=hi)))
+    if pair is None:
+        middle = np.empty(held, dtype=np.int64)
+        filled = 0
+        for bits in _pair_bits(feats):
+            kept = within(bits, lo, hi)
+            middle[filled:filled + kept.size] = kept
+            filled += kept.size
+        if filled < held:
+            return math.nan
+        at = [r - below for r in ranks]
+        middle.partition(at)  # bits order as their distances do
+        pair = middle[at]
+    low, high = np.array(pair, dtype=np.int64).view(np.float64).tolist()
+    return low if ranks[0] == ranks[1] else (low + high) / 2
+
+
+def default_grid(feats: np.ndarray) -> np.ndarray:
     """20 log-spaced bandwidths spanning [0.05 s, 5 s], s the median pairwise distance.
 
-    ``d`` is the training rows' square distance matrix; only its strict
-    upper triangle is read.
+    ``feats`` holds the training rows in the feature layout; s is the
+    median over the n(n-1)/2 row pairs, found one block of distance rows
+    at a time.
     """
-    n = d.shape[0]
-    upper = np.arange(n)[:, None] < np.arange(n)  # pairs i < j, row by row
-    s = float(np.median(d[upper]))
+    s = _pair_median(feats)
     if s <= 0.0:
         s = 1.0  # all rows identical; the scale is arbitrary
     return np.geomspace(0.05 * s, 5.0 * s, 20)
 
 
-def _loo_losses(d_loo: np.ndarray, train: IntervalFrame, kernel: str, hs: list[float]) -> list[float]:
-    """Leave-one-out loss at each bandwidth of ``hs``; ``d_loo`` has an infinite diagonal."""
-    centers, radii, _ = _blocked_averages(lambda rows: d_loo[rows], train.n, hs, kernel,
+def _loo_losses(train: IntervalFrame, kernel: str, hs: list[float]) -> list[float]:
+    """Leave-one-out loss at each bandwidth of ``hs``, one block of training rows at a time."""
+    feats = train.features()
+
+    def distances(rows: slice) -> np.ndarray:
+        d = hyper_distance(feats[rows], feats)
+        own = np.arange(d.shape[0])
+        d[own, rows.start + own] = np.inf  # no row weighs itself
+        return d
+
+    centers, radii, _ = _blocked_averages(distances, train.n, hs, kernel,
                                           train.y_center, train.y_radius)
     return [float(np.sum((pc - train.y_center) ** 2 + (pr - train.y_radius) ** 2))
             for pc, pr in zip(centers, radii)]
@@ -185,10 +275,7 @@ def _loo_losses(d_loo: np.ndarray, train: IntervalFrame, kernel: str, hs: list[f
 
 def loo_loss(train: IntervalFrame, kernel: str, h: float) -> float:
     """Leave-one-out sum of squared center and radius residuals."""
-    feats = train.features()
-    d = hyper_distance(feats, feats)
-    np.fill_diagonal(d, np.inf)  # no row weighs itself
-    return _loo_losses(d, train, kernel, [h])[0]
+    return _loo_losses(train, kernel, [h])[0]
 
 
 def select_bandwidth(
@@ -196,27 +283,25 @@ def select_bandwidth(
 ) -> float:
     """Grid value minimizing the LOO loss; ties broken toward larger h.
 
-    One training distance matrix serves the default grid and every grid
-    point. Each block of its rows is weighted at every grid value in turn,
-    while the block is in cache; the losses are then compared in grid
-    order. Every grid value must be positive and finite.
+    No n x n matrix is held: the default grid's median and the LOO losses
+    each build the training distances one block of rows at a time. Each
+    block is weighted at every grid value in turn, while it is in cache;
+    the losses are then compared in grid order. Every grid value must be
+    positive and finite.
     """
     if train.n < 3:
         raise EmptySampleError(f"bandwidth selection needs n >= 3, got {train.n}")
-    feats = train.features()
-    d = hyper_distance(feats, feats)
     if grid is None:
-        grid = default_grid(d)
+        grid = default_grid(train.features())
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ConfigError("bandwidth grid is empty")
     hs = sorted(float(h) for h in grid)
     for h in hs:
         check_bandwidth(h)
-    np.fill_diagonal(d, np.inf)  # after the grid: no row weighs itself
     best_h = None
     best_loss = np.inf
-    for h, loss in zip(hs, _loo_losses(d, train, kernel, hs)):
+    for h, loss in zip(hs, _loo_losses(train, kernel, hs)):
         if loss <= best_loss:  # <= so later (larger) h wins ties
             best_loss = loss
             best_h = h

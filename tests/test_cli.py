@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ivforest
 from ivforest.cli import main
 from ivforest.frame import load_csv, write_csv
 from ivforest.intervals import hyper_distance
@@ -38,6 +40,11 @@ class TestSimulateCommand:
         assert manifest["command"] == "simulate"
         assert manifest["config"]["seed"] == 3
 
+    def test_manifest_records_the_package_version(self, tmp_path):
+        simulate_csv(tmp_path)
+        manifest = json.loads((tmp_path / "data.csv.manifest.json").read_text())
+        assert manifest["versions"]["ivforest"] == ivforest.__version__
+
     def test_unknown_setting_exits_2(self, tmp_path, capsys):
         code = run("simulate", "--setting", "9", "--n", "10", "--out", str(tmp_path / "x.csv"))
         assert code == 2
@@ -45,6 +52,12 @@ class TestSimulateCommand:
 
     def test_missing_required_flag_exits_2(self):
         assert run("simulate", "--setting", "1") == 2
+
+
+def test_package_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
+    assert ivforest.__version__ == declared
 
 
 INVERTED_BOUNDS = pytest.mark.xfail(
@@ -511,6 +524,36 @@ class TestBenchCommand:
         assert run("bench", "--real", str(data), "--models", "ccrm,rf", "--trees", "2",
                    "--out-dir", str(tmp_path / "afile" / "sub")) == 2
 
+
+    def test_real_mode_manifest_lower_cases_models(self, tmp_path):
+        data = simulate_csv(tmp_path, setting=5, n=60)
+        out = tmp_path / "real"
+        assert run("bench", "--real", str(data), "--models", "CCRM,Rf", "--trees", "2",
+                   "--out-dir", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["models"] == ["ccrm", "rf"]
+        assert (out / "summary.csv").read_text().splitlines()[0] == "component,metric,ccrm,rf,best"
+
+    # each option is read by one mode only; given to the other, it is named in a usage error
+    MODE_OPTIONS = [
+        (True, ["--settings", "99", "--sizes", "abc"], "--settings"),
+        (True, ["--sizes", "500"], "--sizes"),
+        (True, ["--reps", "0"], "--reps"),
+        (True, ["--reps", "100"], "--reps"),  # the default's value, but given
+        (False, ["--train-count", "7", "--split-mode", "random", "--response", "y"], "--response"),
+        (False, ["--train-count", "7"], "--train-count"),
+        (False, ["--split-mode", "chronological"], "--split-mode"),
+    ]
+
+    @pytest.mark.parametrize("real, flags, named", MODE_OPTIONS, ids=[
+        ("--real " if real else "grid ") + " ".join(flags) for real, flags, _ in MODE_OPTIONS])
+    def test_option_of_the_other_mode_exits_2(self, tmp_path, capsys, real, flags, named):
+        mode = ["--real", str(simulate_csv(tmp_path, setting=5, n=60))] if real else [
+            "--settings", "1", "--sizes", "120"]
+        out = tmp_path / "bench"
+        assert run("bench", *mode, "--models", "ccrm", *flags, "--out-dir", str(out)) == 2
+        assert f"error: {named} is read only " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, code", [
         (["--models", "ke", "--bandwidth", "inf"], 2),

@@ -44,9 +44,33 @@ def hand_weighted_average(dists, values, h, kernel="gaussian"):
 
 
 def train_grid(train):
-    """:func:`default_grid` over the training rows' own distance matrix."""
-    feats = train.features()
-    return default_grid(hyper_distance(feats, feats))
+    """:func:`default_grid` over the training rows."""
+    return default_grid(train.features())
+
+
+def whole_matrix_grid(feats):
+    """The default grid as the median over the whole distance matrix's strict upper triangle."""
+    d = hyper_distance(feats, feats)
+    s = float(np.median(d[np.triu_indices(len(feats), 1)]))
+    return np.geomspace(0.05 * s, 5.0 * s, 20) if s > 0.0 else np.geomspace(0.05, 5.0, 20)
+
+
+def grid_inputs():
+    """Training features for the default grid: pair counts odd and even, ties and wide ranges."""
+    rng = np.random.default_rng(6)
+    few = rng.normal(size=(3, 4))
+    wide = rng.normal(size=(40, 2)) * 10.0 ** rng.integers(-100, 100, size=(40, 1))
+    return {
+        "odd pairs": rng.normal(size=(15, 4)),  # 105 pairs
+        "even pairs": rng.normal(size=(16, 4)) + 1e4,  # 120 pairs
+        "duplicated rows": np.repeat(rng.normal(size=(9, 2)), 4, axis=0),
+        "three points": few[rng.integers(0, 3, size=50)],
+        # 18 zero distances and 18 of 5.0: the middle ranks lie in two value buckets
+        "split middle": np.array([[0.0, 1.0]] * 6 + [[5.0, 1.0]] * 3),
+        "two points": np.array([[0.0, 1.0], [3.0, 2.0]] * 30),
+        "identical rows": np.full((12, 4), 2.5),
+        "many binades": wide,
+    }
 
 
 class TestPredict:
@@ -221,18 +245,26 @@ class TestBandwidth:
         assert grid[0] < grid[-1]
         assert math.isclose(grid[-1] / grid[0], 100.0, rel_tol=1e-9)
 
-    def test_default_grid_reads_strict_upper_triangle(self):
-        rng = np.random.default_rng(6)
-        feats = rng.normal(size=(15, 4))
-        d = hyper_distance(feats, feats)
-        marked = d.copy()
-        np.fill_diagonal(marked, np.inf)
-        marked[np.tril_indices(15, -1)] = -1.0
-        np.testing.assert_array_equal(default_grid(marked), default_grid(d))
+    @pytest.mark.parametrize("block_entries", [1, 2**40], ids=["8-row blocks", "one block"])
+    @pytest.mark.parametrize("case", list(grid_inputs()))
+    def test_default_grid_is_the_whole_matrix_median(self, case, block_entries, monkeypatch):
+        feats = grid_inputs()[case]
+        monkeypatch.setattr(kernel_module, "_BLOCK_ENTRIES", block_entries)
+        got, want = default_grid(feats), whole_matrix_grid(feats)
+        assert got.tobytes() == want.tobytes()
+        if case == "identical rows":
+            assert got[0] == 0.05 and got[-1] == 5.0  # the scale falls back to 1
 
-    def test_search_builds_one_distance_matrix(self, monkeypatch):
-        import ivforest.kernel as kernel_module
+    @pytest.mark.parametrize("block_entries", [1, 2**40], ids=["8-row blocks", "one block"])
+    def test_overflowed_distance_rejects_the_default_grid(self, block_entries, monkeypatch):
+        # 1e200 squared overflows, so some distances are NaN, and so is their median
+        monkeypatch.setattr(kernel_module, "_BLOCK_ENTRIES", block_entries)
+        train = frame_from_rows([[1e200], [0.0], [3.0], [1.0], [2.0], [5.0]], np.zeros((6, 1)),
+                                np.arange(6.0), np.ones(6))
+        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="got nan"):
+            select_bandwidth(train, "gaussian")
 
+    def test_search_builds_distances_one_block_at_a_time(self, monkeypatch):
         shapes = []
 
         def recorded(a, b):
@@ -240,10 +272,14 @@ class TestBandwidth:
             return hyper_distance(a, b)
 
         monkeypatch.setattr(kernel_module, "hyper_distance", recorded)
-        train = simulate(SimSetting(5, 60, 3))
+        train = simulate(SimSetting(5, 2000, 3))
         h = select_bandwidth(train, "gaussian")
-        assert shapes == [((60, 2), (60, 2))]
-        assert h in train_grid(train)
+        rows = kernel_module._block_rows(train.n)
+        assert rows < train.n
+        assert len(shapes) > train.n // rows
+        assert all(a[0] <= rows and b == (train.n, 2) for a, b in shapes)
+        monkeypatch.undo()
+        assert h in whole_matrix_grid(train.features())
 
     def test_selected_h_close_to_finer_grid_quality(self):
         """LOO choice on the default grid compares to a grid twice as fine."""
@@ -307,6 +343,17 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16e6  # a whole 20 000 x 400 distance matrix is 64 MB
+
+    @pytest.mark.parametrize("distinct", [2000, 2])
+    def test_search_memory_is_bounded_by_the_block(self, distinct):
+        train = simulate(SimSetting(5, 2000, 1)).take(np.arange(2000) % distinct)
+        tracemalloc.start()
+        try:
+            select_bandwidth(train, "gaussian")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # the whole 2000 x 2000 search peaked at 96 MB
 
 
 class TestPriceScale:
