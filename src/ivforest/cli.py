@@ -189,7 +189,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 # options that one mode of `ivf bench` reads and the other never would
-_GRID_ONLY = ("settings", "sizes", "reps")
+_GRID_ONLY = ("settings", "sizes", "reps", "workers")
 _REAL_ONLY = ("response", "train_count", "split_mode")
 
 
@@ -215,7 +215,8 @@ def _check_mode_options(ctx: click.Context, real: bool) -> None:
 @click.option("--min-node", type=int, default=5, show_default=True)
 @click.option("--kernel", type=click.Choice(KERNELS), default="gaussian", show_default=True)
 @click.option("--bandwidth", type=float, default=None)
-@click.option("--workers", type=int, default=None, help="Worker processes (default: IVF_THREADS or CPU count).")
+@click.option("--workers", type=int, default=None,
+              help="Grid worker processes (default: IVF_THREADS or CPU count); not with --real.")
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 @click.option("--real", "real_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Run on a real CSV dataset instead of the simulation grid.")
@@ -234,7 +235,6 @@ def cmd_bench(ctx, settings, sizes, reps, models, seed, train_fraction, trees, m
     if real_path is not None:
         frame = load_csv(real_path, response=response)
         model_list = model_names(model_list)
-        resolve_workers(workers)  # checked as for the grid; the real split runs in one process
         fraction = 0.8 if train_fraction is None else train_fraction
         # split before the out-dir is made, as ExperimentSpec checks the grid's settings
         train, test = split(frame, SplitSpec(fraction, mode=split_mode, seed=seed,

@@ -27,6 +27,8 @@ TOIS 35(2), 2016) when there are more rows than those trees have distinct
 (feature, threshold) pairs, and every other tree is walked. One loop over
 blocks of (tree, row) pairs serves both paths, which give the same bytes.
 A tree's leaves are numbered left to right from its subtrees' leaf counts.
+
+Model files hold trees numbered as ``grow_trees`` numbers them, and no other.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ class ForestParams:
 class Tree:
     """Flattened binary regression tree plus its bootstrap row indices.
 
-    Nodes are numbered level by level, and a split node's right child
-    directly follows its left, so only ``left`` is stored.
+    Nodes are numbered level by level: the k-th split node's children are
+    2k + 1 and 2k + 2, so only ``left`` is stored.
     """
 
     feature: np.ndarray  # int, -1 marks a leaf
@@ -108,7 +110,8 @@ class Tree:
 
 
 # A tree's arrays in a model file, each with the dtype it is read as. Files
-# carry "right" for readers that route with it; a Tree derives it.
+# carry "right" for readers that route with it; a Tree derives it, and the
+# reader checks that the file's agrees.
 _TREE_ARRAYS = {"feature": np.int64, "threshold": float, "left": np.int64, "right": np.int64,
                 "value": float, "count": np.int64, "bootstrap": np.int64}
 
@@ -378,8 +381,7 @@ def _pack(trees: list[Tree]) -> _Nodes:
         np.concatenate([getattr(t, key) for t in trees])
         for key in ("feature", "threshold", "left", "value")
     )
-    # every split node has two children, so a tree of at most 127 nodes has at most 64 leaves;
-    # nodes that the root does not reach, which a model file may hold, only make a tree walk
+    # a tree of n nodes has (n + 1) / 2 leaves, so one of at most 127 nodes has at most 64
     word = np.array(sizes) < 2 * _WORD_BITS
     split = np.flatnonzero((feature >= 0) & word[tree_of])
     split = split[np.argsort(threshold[split])]
@@ -439,9 +441,9 @@ def _sums(
     one = np.uint64(1)
     if bits.any():
         first = _first_leaves(nodes, nodes.bounds[np.flatnonzero(bits)])
-        reached = first >= 0
-        split = np.flatnonzero(reached & (nodes.feature >= 0))
-        leaf = np.flatnonzero(reached & (nodes.feature < 0))
+        in_bits = first >= 0  # the nodes of the trees in bits
+        split = np.flatnonzero(in_bits & (nodes.feature >= 0))
+        leaf = np.flatnonzero(in_bits & (nodes.feature < 0))
         # split node s clears leaves first[s] up to first[right child], its left subtree
         mask = ~((one << first[nodes.left[split] + 1].astype(np.uint64))
                  - (one << first[split].astype(np.uint64)))
@@ -515,8 +517,8 @@ def _sums(
 
 def _first_leaves(nodes: _Nodes, roots: np.ndarray) -> np.ndarray:
     """Per node of the trees with the given roots, the place among its tree's leaves, left to
-    right, of its subtree's leftmost leaf; -1 at other nodes and at nodes that their root does
-    not reach. The trees must have at most 64 leaves.
+    right, of its subtree's leftmost leaf; -1 at the nodes of other trees. The trees must have
+    at most 64 leaves.
 
     A pass per depth level collects each level's split nodes. Counting each subtree's leaves
     bottom up, then numbering top down, gives a left child its parent's first leaf and a right
@@ -620,12 +622,14 @@ def forest_from_doc(doc: dict) -> ForestFit:
     def trees_from(key: str) -> list[Tree]:
         trees = []
         for i, tdoc in enumerate(doc[key]):
-            tdoc = {"bootstrap": [], **tdoc}  # files may omit the bootstrap
+            missing = [k for k in _TREE_ARRAYS if k not in tdoc]
+            if missing:
+                raise ConfigError(f"{key}[{i}]: no key {missing[0]!r}")
             arrays = {k: np.asarray(tdoc[k], dtype=dtype) for k, dtype in _TREE_ARRAYS.items()}
             problem = _tree_problem(arrays, len(feature_names))
             if problem:
                 raise ConfigError(f"{key}[{i}]: {problem}")
-            trees.append(_level_order(arrays))
+            trees.append(Tree(**{k: a for k, a in arrays.items() if k != "right"}))
         if not trees:
             raise ConfigError(f"{key!r} holds no tree")
         return trees
@@ -641,54 +645,28 @@ def forest_from_doc(doc: dict) -> ForestFit:
 
 
 def _tree_problem(arrays: dict, n_features: int) -> str | None:
-    """Why a model file's tree arrays could not be numbered and walked, or None.
+    """Why a model file's tree arrays are not a tree as ``grow_trees`` numbers it, or None.
 
-    Every split node's children must come after it (``grow_trees`` numbers
-    them so), which rules out cycles, and no node may be the child of two
-    split nodes, or both children of one; indices and features must be in
-    range, and thresholds and values finite.
+    Level by level: s split nodes and s + 1 leaves, the k-th split node's children 2k + 1 and
+    2k + 2, after it. So each node but the root has one earlier parent, and the root reaches
+    it. Features must be in range, thresholds and values finite, and the bootstrap nonempty
+    and nonnegative.
     """
     feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
     n = feature.size
     if n == 0 or any(a.shape != (n,) for k, a in arrays.items() if k != "bootstrap"):
         return "node arrays must be nonempty lists of equal length"
-    split = np.nonzero(feature >= 0)[0]
-    for key, child in (("left", left[split]), ("right", right[split])):
-        if np.any(child <= split) or np.any(child >= n):
-            return f"'{key}' must point every split node to a later node in range"
-    children = np.concatenate([left[split], right[split]])
-    if np.unique(children).size < children.size:
-        return "'left' and 'right' must name each node at most once"
+    split = feature >= 0
+    if (n != 2 * np.sum(split) + 1 or np.any(left != np.where(split, 2 * np.cumsum(split) - 1, -1))
+            or np.any(right != np.where(split, left + 1, -1))
+            or np.any(left[split] <= np.flatnonzero(split))):
+        return ("'left' and 'right' must number nodes level by level: 2s + 1 nodes for s splits, "
+                "split k's children 2k + 1 and 2k + 2, after it, and -1 at leaves")
     if np.any(feature >= n_features):
         return f"'feature' must be below {n_features}"
     for key in ("threshold", "value"):
         if not np.all(np.isfinite(arrays[key])):
             return f"{key!r} must be finite"
+    if arrays["bootstrap"].size == 0 or arrays["bootstrap"].min() < 0:
+        return "'bootstrap' must be nonempty, with no negative row index"
     return None
-
-
-def _level_order(arrays: dict) -> Tree:
-    """The Tree of a model file's arrays, which must pass ``_tree_problem``.
-
-    A tree whose split nodes each have ``right == left + 1`` is kept as it
-    is. Files written before level-wise growth number nodes depth first;
-    such a tree is renumbered level by level, as ``grow_trees`` numbers
-    nodes, and nodes the root does not reach are dropped.
-    """
-    feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
-    split = feature >= 0
-    if np.all(right[split] == left[split] + 1):
-        return Tree(feature, arrays["threshold"], left, arrays["value"], arrays["count"],
-                    arrays["bootstrap"])
-    levels = [np.zeros(1, dtype=np.int64)]
-    while levels[-1].size:
-        inner = levels[-1][feature[levels[-1]] >= 0]
-        levels.append(np.column_stack([left[inner], right[inner]]).ravel())
-    order = np.concatenate(levels)
-    new_id = np.empty(feature.size, dtype=np.int64)
-    new_id[order] = np.arange(order.size)
-    split = split[order]
-    new_left = np.full(order.size, -1, dtype=np.int64)
-    new_left[split] = new_id[left[order[split]]]
-    return Tree(feature[order], arrays["threshold"][order], new_left, arrays["value"][order],
-                arrays["count"][order], arrays["bootstrap"])

@@ -273,11 +273,6 @@ def _loo_losses(train: IntervalFrame, kernel: str, hs: list[float]) -> list[floa
             for pc, pr in zip(centers, radii)]
 
 
-def loo_loss(train: IntervalFrame, kernel: str, h: float) -> float:
-    """Leave-one-out sum of squared center and radius residuals."""
-    return _loo_losses(train, kernel, [h])[0]
-
-
 def select_bandwidth(
     train: IntervalFrame, kernel: str = "gaussian", grid: np.ndarray | None = None
 ) -> float:

@@ -54,3 +54,5 @@ def test_model_file_right_child_follows_left(forest):
     for tree in doc["center_trees"] + doc["radius_trees"]:
         feature, left, right = (np.array(tree[k]) for k in ("feature", "left", "right"))
         np.testing.assert_array_equal(right, np.where(feature >= 0, left + 1, -1))
+        split = feature >= 0  # the k-th split node's left child is 2k + 1
+        np.testing.assert_array_equal(left[split], 2 * np.arange(split.sum()) + 1)

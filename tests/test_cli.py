@@ -540,6 +540,7 @@ class TestBenchCommand:
         (True, ["--sizes", "500"], "--sizes"),
         (True, ["--reps", "0"], "--reps"),
         (True, ["--reps", "100"], "--reps"),  # the default's value, but given
+        (True, ["--workers", "2"], "--workers"),
         (False, ["--train-count", "7", "--split-mode", "random", "--response", "y"], "--response"),
         (False, ["--train-count", "7"], "--train-count"),
         (False, ["--split-mode", "chronological"], "--split-mode"),

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ivforest import forest
-from ivforest.errors import DimensionError, OOBUnavailableError, UnderdeterminedError
+from ivforest.cli import main
+from ivforest.errors import ConfigError, DimensionError, OOBUnavailableError, UnderdeterminedError
 from ivforest.evaluate import evaluate_frame
 from ivforest.forest import (
     _CHUNK_SAMPLES,
@@ -26,6 +27,7 @@ from ivforest.forest import (
     predict_forest_rows,
 )
 from ivforest.frame import IntervalFrame, SplitSpec, split
+from ivforest.models import model_from_json
 from ivforest.rng import stream
 from ivforest.simulate import SimSetting, simulate
 from splits import root_split
@@ -544,28 +546,28 @@ def preorder(tree):
 
 
 class TestTraversal:
-    def test_preorder_file_predicts_like_breadth_first(self):
-        """Model files written before level-wise growth number nodes in preorder."""
-        frame = simulate(SimSetting(7, 200, 3))
-        fit = fit_forest(frame, ForestParams(n_trees=10, seed=4))
+    def test_depth_first_file_rejected(self, tmp_path, capsys):
+        """Files written before level-wise growth number nodes depth first; none loads."""
+        frame = simulate(SimSetting(5, 120, 3))
+        fit = fit_forest(frame, ForestParams(n_trees=6, seed=4))
         doc = json.loads(forest_to_json(fit))
         for key in ("center_trees", "radius_trees"):
             doc[key] = [preorder(t) for t in getattr(fit, key)]
-        feature, left, right = (np.concatenate([t[k] for t in doc["center_trees"]])
-                                for k in ("feature", "left", "right"))
-        assert np.any(right[feature >= 0] != left[feature >= 0] + 1)
-        again = forest_from_json(json.dumps(doc))
-        for a, b in zip(fit.center_trees + fit.radius_trees,
-                        again.center_trees + again.radius_trees):
-            split = b.feature >= 0
-            np.testing.assert_array_equal(b.right[split], b.left[split] + 1)
-            for name in ("feature", "threshold", "left", "right", "value", "count"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-        q = simulate(SimSetting(7, 300, 5)).features()
-        a, b = predict_forest_rows(fit, q), predict_forest_rows(again, q)
-        assert a.center.tobytes() == b.center.tobytes()
-        assert a.radius.tobytes() == b.radius.tobytes()
-        assert oob_error(again, frame) == fit.oob
+        assert doc["center_trees"][0]["left"] != fit.center_trees[0].left.tolist()
+        text = json.dumps(doc)
+        with pytest.raises(ConfigError, match=r"^rf.json: .*center_trees\[0\]: 'left' and "
+                                              r"'right' must number nodes level by level"):
+            model_from_json(text, "rf.json")
+        model, data, out = tmp_path / "rf.json", tmp_path / "data.csv", tmp_path / "pred.csv"
+        model.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--setting", "5", "--n", "50", "--seed", "2",
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model-file", str(model), "--in", str(data),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{model}: " in err and "center_trees[0]: 'left' and 'right'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_rows, per_block", [(16_385, 1), (4096, 4), (5000, 3)])
     def test_matches_per_tree_router(self, n_rows, per_block):
@@ -684,20 +686,6 @@ class TestLeafBitvectors:
         assert_paths_agree([root, root], X, out_of_bag=True)
         total, counts = assert_paths_agree([root, *grown, root], X)
         assert counts.tolist() == [5] * 60
-
-    def test_nodes_the_root_does_not_reach(self):
-        """A model file may hold nodes outside the tree, here split node 3 and its leaves."""
-        arrays = {"feature": [0, -1, -1, 1, -1, -1], "threshold": [0.0, 0, 0, 0.5, 0, 0],
-                  "left": [1, -1, -1, 4, -1, -1], "right": [2, -1, -1, 5, -1, -1],
-                  "value": [0, 1.0, 2.0, 0, 3.0, 4.0], "count": [1] * 6, "bootstrap": [0, 2]}
-        arrays = {k: np.asarray(v, dtype=_TREE_ARRAYS[k]) for k, v in arrays.items()}
-        assert _tree_problem(arrays, 2) is None
-        tree = forest._level_order(arrays)
-        chain = chain_tree(64, True, 50)  # its last leaf takes the last bit of its word
-        X = np.random.default_rng(3).uniform(-1.5, 1.5, (300, 2))
-        total, _ = assert_paths_agree([chain, tree], X)
-        assert_paths_agree([chain, tree], X[:50], out_of_bag=True)
-        assert total.tobytes() == (route(chain, X) + route(tree, X)).tobytes()
 
     @pytest.mark.parametrize("deep_right", [True, False], ids=["deep right", "deep left"])
     def test_64_leaves_use_bitvectors_and_65_walk(self, paths_taken, deep_right):
@@ -848,18 +836,3 @@ class TestLeafBitvectors:
                 expected += route(tree, np.nan_to_num(X, nan=-np.inf))
             assert total.tobytes() == expected.tobytes()
             assert counts.tolist() == [len(trees)] * 600
-
-    def test_renumbered_depth_first_file(self):
-        frame = simulate(SimSetting(7, 120, 3))
-        fit = fit_forest(frame, ForestParams(n_trees=6, seed=4))
-        doc = json.loads(forest_to_json(fit))
-        for key in ("center_trees", "radius_trees"):
-            doc[key] = [preorder(t) for t in getattr(fit, key)]
-        again = forest_from_json(json.dumps(doc))
-        X = simulate(SimSetting(7, 400, 5)).features()
-        for loaded, grown in ((again.center_trees, fit.center_trees),
-                              (again.radius_trees, fit.radius_trees)):
-            for out_of_bag, rows in ((False, X), (True, frame.features())):
-                got = assert_paths_agree(loaded, rows, out_of_bag)
-                want = walk_sums(grown, rows, out_of_bag)
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

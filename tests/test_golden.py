@@ -3,11 +3,12 @@
 The copies are a bench grid's ``results.csv`` and ``summary.csv``, the ``ivf predict`` CSV
 of a setting-7 forest whose prediction takes both leaf bitvectors and the walk, the
 ``ivf fit`` model files of a small ccrm, ke and rf fit, and the ``summary.csv`` and rf
-predictions of an ``ivf bench --real`` run of all five models on the fit's data. On the
-numpy version recorded in ``golden/numpy-version`` they must match byte for byte. numpy's
-SIMD reductions can differ by an ulp across releases, so on any other version every CSV
-field that parses as a number, and every JSON number, must match to a relative 1e-12, and
-every other field exactly.
+predictions of an ``ivf bench --real`` run of all five models on the fit's data. The
+committed rf file must also still load and predict as a new fit does. On the numpy version
+recorded in ``golden/numpy-version`` they must match byte for byte. numpy's SIMD reductions
+can differ by an ulp across releases, so on any other version every CSV field that parses as
+a number, and every JSON number, must match to a relative 1e-12, and every other field
+exactly.
 
 Regenerate the copies with ``PYTHONPATH=src python tests/test_golden.py``, and say in the
 change log which bytes moved and why.
@@ -22,7 +23,8 @@ import numpy as np
 
 from ivforest import forest
 from ivforest.cli import main
-from ivforest.models import fit_model, model_to_json
+from ivforest.frame import load_csv
+from ivforest.models import fit_model, model_from_json, model_to_json, predict_model
 from ivforest.simulate import SimSetting, simulate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -82,6 +84,32 @@ def json_match(got, want) -> bool:
     return type(got) is type(want) and got == want
 
 
+def exact_bytes() -> bool:
+    """Whether numpy is the version the golden files were written on, so bytes must match."""
+    recorded = (GOLDEN / "numpy-version").read_text(encoding="utf-8").strip()
+    exact = np.__version__ == recorded
+    print(f"golden comparison: {'exact bytes' if exact else f'numbers to rel {REL_TOL}'} "
+          f"(numpy {np.__version__}, recorded {recorded})")
+    return exact
+
+
+def test_committed_forest_file_predicts_as_it_did(tmp_path):
+    """The committed ``fit_rf.json`` loads, and predicts the rows it was fitted on as a forest
+    fitted now does."""
+    data = tmp_path / "fit_data.csv"
+    assert main(["simulate", "--setting", "5", "--n", "120", "--seed", "1", "--out", str(data)]) == 0
+    frame = load_csv(data)
+    loaded = model_from_json((GOLDEN / "fit_rf.json").read_text(encoding="utf-8"), "fit_rf.json")
+    got = predict_model(loaded, frame)
+    want = predict_model(fit_model("rf", frame, 1, n_trees=10), frame)
+    exact = exact_bytes()
+    for a, b in ((got.center, want.center), (got.radius, want.radius)):
+        if exact:
+            assert a.tobytes() == b.tobytes()
+        else:
+            np.testing.assert_allclose(a, b, rtol=REL_TOL, atol=0.0)
+
+
 def test_outputs_match_golden(tmp_path, monkeypatch):
     masks = []
 
@@ -94,10 +122,7 @@ def test_outputs_match_golden(tmp_path, monkeypatch):
     # the prediction's two calls, one per component and made last, each mix both paths
     assert all(True in mask and False in mask for mask in masks[-2:])
 
-    recorded = (GOLDEN / "numpy-version").read_text(encoding="utf-8").strip()
-    exact = np.__version__ == recorded
-    print(f"golden comparison: {'exact bytes' if exact else f'numbers to rel {REL_TOL}'} "
-          f"(numpy {np.__version__}, recorded {recorded})")
+    exact = exact_bytes()
     for name, path in outputs.items():
         got, want = path.read_bytes(), (GOLDEN / name).read_bytes()
         if exact:

@@ -11,11 +11,11 @@ from ivforest.intervals import hyper_distance
 from ivforest.kernel import (
     KERNELS,
     KernelFit,
+    _loo_losses,
     default_grid,
     fit_kernel,
     kernel_to_json,
     kernel_weight,
-    loo_loss,
     predict_kernel_frame,
     predict_kernel_rows,
     select_bandwidth,
@@ -209,8 +209,9 @@ class TestBandwidth:
         train = frame_from_rows(xc, np.zeros_like(xc), yc, np.ones(8))
         grid = np.array([1e-3, 3e-3, 1e-2, 0.5, 1.0])
         h = select_bandwidth(train, "gaussian", grid)
-        assert loo_loss(train, "gaussian", h) == 0.0
-        zero_losses = [g for g in grid if loo_loss(train, "gaussian", float(g)) == 0.0]
+        assert _loo_losses(train, "gaussian", [h]) == [0.0]
+        losses = _loo_losses(train, "gaussian", [float(g) for g in grid])
+        zero_losses = [g for g, loss in zip(grid, losses) if loss == 0.0]
         assert h == max(zero_losses)
 
     def test_empty_grid_rejected(self):
@@ -315,7 +316,7 @@ class TestBlocks:
     @staticmethod
     def outputs(train, queries, kernel):
         pred = predict_kernel_rows(fit_kernel(train, h=0.8, kernel=kernel), queries)
-        losses = [loo_loss(train, kernel, float(h)) for h in train_grid(train)]
+        losses = _loo_losses(train, kernel, [float(h) for h in train_grid(train)])
         return pred, losses, select_bandwidth(train, kernel)
 
     @pytest.mark.parametrize("kernel", KERNELS)

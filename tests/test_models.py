@@ -88,22 +88,51 @@ def _set(key, index, value):
 
 
 def _share_child(tree):
-    """The first split node after the root shares its left child with the root."""
+    """The first split node after the root shares its children with the root."""
     b = next(i for i in range(1, len(tree["feature"])) if tree["feature"][i] >= 0)
-    tree["left"][0] = tree["left"][b]
+    tree["left"][0], tree["right"][0] = tree["left"][b], tree["right"][b]
 
+
+def _append_unreached_split(tree):
+    """A split node and its two leaves after the grown nodes, which the root does not reach."""
+    n = len(tree["feature"])
+    for key, at_split, at_leaf in (("feature", 0, -1), ("threshold", 0.5, 0.0), ("left", n + 1, -1),
+                                   ("right", n + 2, -1), ("value", 0.0, 1.0), ("count", 2, 1)):
+        tree[key] += [at_split, at_leaf, at_leaf]
+
+
+def _append_unreached_leaf(tree):
+    for key, at_leaf in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1),
+                         ("value", 1.0), ("count", 1)):
+        tree[key].append(at_leaf)
+
+
+def _own_child(tree):
+    """Split node 4, the second split node, is numbered to have children 3 and 4: itself."""
+    tree.update(feature=[0, -1, -1, -1, 1], threshold=[0.5, 0.0, 0.0, 0.0, 0.5],
+                left=[1, -1, -1, -1, 3], right=[2, -1, -1, -1, 4], value=[0.0, 1.0, 2.0, 3.0, 0.0],
+                count=[10, 5, 5, 1, 1])
+
+
+NUMBERING = "'left' and 'right' must number nodes level by level"
 
 TREE_FAULTS = {
     "arrays of unequal length": (lambda tree: tree["value"].pop(), "equal length"),
-    "child before its parent": (_set("left", 0, 0), "'left'"),
-    "child out of range": (_set("right", 0, 10**6), "'right'"),
-    "negative child": (_set("left", 0, -1), "'left'"),
+    "child before its parent": (_set("left", 0, 0), NUMBERING),
+    "child out of range": (_set("right", 0, 10**6), NUMBERING),
+    "negative child": (_set("left", 0, -1), NUMBERING),
     "split feature out of range": (_set("feature", 0, 2), "'feature' must be below 2"),
     "left child is the right child": (lambda tree: _set("right", 0, tree["left"][0])(tree),
-                                      "at most once"),
-    "node with two parents": (_share_child, "at most once"),
+                                      NUMBERING),
+    "node with two parents": (_share_child, NUMBERING),
+    "nodes the root does not reach": (_append_unreached_split, NUMBERING),
+    "leaf the root does not reach": (_append_unreached_leaf, NUMBERING),
+    "split node its own child": (_own_child, NUMBERING),
     "infinite threshold": (_set("threshold", 0, float("inf")), "'threshold' must be finite"),
     "nan leaf value": (_set("value", -1, float("nan")), "'value' must be finite"),
+    "no bootstrap": (lambda tree: tree.pop("bootstrap"), "no key 'bootstrap'"),
+    "empty bootstrap": (lambda tree: tree["bootstrap"].clear(), "'bootstrap' must be nonempty"),
+    "negative bootstrap index": (_set("bootstrap", 3, -1), "'bootstrap' must be nonempty"),
 }
 
 
