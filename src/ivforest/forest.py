@@ -17,7 +17,9 @@ rows, each weighted by how many times it was drawn (as scikit-learn's
 forests pass bootstrap counts as sample weights, and ranger keeps in-bag
 counts: Wright & Ziegler, JSS 77(1), 2017). Node counts and ``min_node``
 still count every draw, and leaf means sum every draw in draw order, so
-the trees are those grown on the draws themselves.
+the trees are those grown on the draws themselves. A tree keeps only what
+growth decides, its split features, thresholds, leaf values and bootstrap;
+``_children`` derives its child indices, and node counts live only in growth.
 
 Prediction and out-of-bag errors sum leaf values through ``_tree_sums``,
 one tree at a time in tree order. It packs the ensemble once and hands
@@ -89,15 +91,17 @@ class Tree:
     """Flattened binary regression tree plus its bootstrap row indices.
 
     Nodes are numbered level by level: the k-th split node's children are
-    2k + 1 and 2k + 2, so only ``left`` is stored.
+    2k + 1 and 2k + 2, so children are derived from ``feature``.
     """
 
     feature: np.ndarray  # int, -1 marks a leaf
     threshold: np.ndarray
-    left: np.ndarray
     value: np.ndarray  # leaf mean (0 for internal nodes)
-    count: np.ndarray  # bootstrap draws reaching the node, copies of a row included
     bootstrap: np.ndarray  # indices into the training frame, with repetition
+
+    @property
+    def left(self) -> np.ndarray:
+        return _children(self.feature, [0])
 
     @property
     def right(self) -> np.ndarray:
@@ -110,10 +114,21 @@ class Tree:
 
 
 # A tree's arrays in a model file, each with the dtype it is read as. Files
-# carry "right" for readers that route with it; a Tree derives it, and the
-# reader checks that the file's agrees.
+# carry "left" and "right" for readers that route with them; a Tree derives
+# both, and the reader checks that the file's agree. A "count" key, which
+# files written before carried, is not read.
 _TREE_ARRAYS = {"feature": np.int64, "threshold": float, "left": np.int64, "right": np.int64,
-                "value": float, "count": np.int64, "bootstrap": np.int64}
+                "value": float, "bootstrap": np.int64}
+
+
+def _children(feature: np.ndarray, starts) -> np.ndarray:
+    """Each split node's left child in trees laid end to end, tree i from node ``starts[i]``,
+    as an index into the concatenation; -1 at leaves. A tree's k-th split node has children
+    2k + 1 and 2k + 2 of its own tree."""
+    split = feature >= 0
+    before = np.cumsum(split) - split  # split nodes before each node
+    first = np.repeat(starts, np.diff(starts, append=feature.size))  # each node's tree start
+    return np.where(split, first + 2 * (before - before[first]) + 1, -1)
 
 
 def _best_splits(
@@ -207,9 +222,9 @@ def grow_trees(
     once. An open node without a valid split becomes a leaf, as does every
     node that is not open. Leaf values are bootstrap means: after the last
     level each draw goes to its sample's leaf, and one ``bincount`` adds the
-    draws' responses in draw order. Nodes are numbered level by level, so
-    children always come after their parent, and a split node's right child
-    directly follows its left.
+    draws' responses in draw order. A tree's nodes come level by level, each
+    level's in its parents' order, which is the numbering ``_children``
+    derives; node counts are not kept.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -232,7 +247,6 @@ def grow_trees(
     node_of = present // n  # each sample's node at the current level, -1 once in a leaf
     leaf_of = np.empty(present.size, dtype=np.int64)  # its leaf's place among all levels' nodes
     level_tree = np.arange(n_trees)  # tree of each node at the current level
-    n_nodes = np.ones(n_trees, dtype=np.int64)
     levels = []
     depth = first_node = 0  # first_node: how many nodes the earlier levels hold
     while level_tree.size:
@@ -266,14 +280,7 @@ def grow_trees(
             feature[split] = cand[row[ok], ok]
             threshold[split] = 0.5 * (xs[row[ok], col[ok]] + xs[row[ok], col[ok] + 1])
 
-        # children: the r-th split node of a tree at this level gets ids n + 2r, n + 2r + 1
-        split_tree = level_tree[split]
-        left = np.full(k, -1, dtype=np.int64)
-        left[split] = (
-            n_nodes[split_tree] + 2 * (np.arange(split.size) - np.searchsorted(split_tree, split_tree))
-        )
-        n_nodes += 2 * np.bincount(split_tree, minlength=n_trees)
-        levels.append((level_tree, feature, threshold, left, count))
+        levels.append((level_tree, feature, threshold, count))
 
         # each sample moves to its child's index at the next level, 2q or 2q + 1 for split q
         child = np.full(k, -1, dtype=np.int64)
@@ -283,23 +290,19 @@ def grow_trees(
         ended = child[node] < 0
         leaf_of[live[ended]] = first_node + node[ended]
         first_node += k
-        level_tree = np.repeat(split_tree, 2)
+        level_tree = np.repeat(level_tree[split], 2)
         depth += 1
 
-    level_tree, feature, threshold, left, count = (np.concatenate(c) for c in zip(*levels))
+    level_tree, feature, threshold, count = (np.concatenate(c) for c in zip(*levels))
     # bincount adds in input order, so each leaf sums its draws' responses in draw order
     sums = np.bincount(leaf_of[sample_of_draw], weights=y[draws], minlength=feature.size)
-    leaf = feature < 0
-    value = np.zeros(feature.size)
-    value[leaf] = sums[leaf] / count[leaf]
+    value = sums / count  # no draw ends at a split node, so its value is 0
     # within a tree, levels and the nodes of a level come in id order
     by_tree = np.argsort(level_tree, kind="stable")
-    arrays = [a[by_tree] for a in (feature, threshold, left, value, count)]
-    ends = np.cumsum(n_nodes)
-    return [
-        Tree(*(a[lo:hi] for a in arrays), np.asarray(boot, dtype=np.int64))
-        for boot, lo, hi in zip(bootstraps, (ends - n_nodes).tolist(), ends.tolist())
-    ]
+    ends = np.cumsum(np.bincount(level_tree))[:-1]  # every tree has a root
+    parts = (np.split(a[by_tree], ends) for a in (feature, threshold, value))
+    return [Tree(f, t, v, np.asarray(boot, dtype=np.int64))
+            for f, t, v, boot in zip(*parts, bootstraps)]
 
 
 def _draw_candidates(
@@ -365,7 +368,7 @@ class _Nodes(NamedTuple):
     tree_of: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray  # an index into the concatenation
+    left: np.ndarray  # an index into the concatenation, from _children
     value: np.ndarray
     word: np.ndarray  # per tree, whether it has at most 64 leaves
     pair_feature: np.ndarray  # the word trees' distinct (feature, threshold) pairs, sorted
@@ -377,10 +380,8 @@ def _pack(trees: list[Tree]) -> _Nodes:
     sizes = [t.feature.size for t in trees]
     bounds = np.cumsum([0] + sizes)
     tree_of = np.repeat(np.arange(len(trees)), sizes)
-    feature, threshold, left, value = (
-        np.concatenate([getattr(t, key) for t in trees])
-        for key in ("feature", "threshold", "left", "value")
-    )
+    feature, threshold, value = (np.concatenate([getattr(t, key) for t in trees])
+                                 for key in ("feature", "threshold", "value"))
     # a tree of n nodes has (n + 1) / 2 leaves, so one of at most 127 nodes has at most 64
     word = np.array(sizes) < 2 * _WORD_BITS
     split = np.flatnonzero((feature >= 0) & word[tree_of])
@@ -391,8 +392,8 @@ def _pack(trees: list[Tree]) -> _Nodes:
     new[1:] = (f[1:] != f[:-1]) | (thr[1:] != thr[:-1])
     pair = np.full(feature.size, -1, dtype=np.int64)
     pair[split] = np.cumsum(new) - 1
-    return _Nodes(trees, bounds, tree_of, feature, threshold, left + bounds[tree_of], value,
-                  word, f[new], thr[new], pair)
+    return _Nodes(trees, bounds, tree_of, feature, threshold, _children(feature, bounds[:-1]),
+                  value, word, f[new], thr[new], pair)
 
 
 def _tree_sums(
@@ -625,11 +626,16 @@ def forest_from_doc(doc: dict) -> ForestFit:
             missing = [k for k in _TREE_ARRAYS if k not in tdoc]
             if missing:
                 raise ConfigError(f"{key}[{i}]: no key {missing[0]!r}")
+            # numpy would truncate 0.9 and parse "7"; and a bool among ints reads as 0 or 1
+            loose = [k for k, dtype in _TREE_ARRAYS.items() if dtype is np.int64
+                     and not (isinstance(tdoc[k], list) and set(map(type, tdoc[k])) <= {int})]
+            if loose:
+                raise ConfigError(f"{key}[{i}]: {loose[0]!r} must be a list of JSON integers")
             arrays = {k: np.asarray(tdoc[k], dtype=dtype) for k, dtype in _TREE_ARRAYS.items()}
             problem = _tree_problem(arrays, len(feature_names))
             if problem:
                 raise ConfigError(f"{key}[{i}]: {problem}")
-            trees.append(Tree(**{k: a for k, a in arrays.items() if k != "right"}))
+            trees.append(Tree(**{k: a for k, a in arrays.items() if k not in ("left", "right")}))
         if not trees:
             raise ConfigError(f"{key!r} holds no tree")
         return trees
@@ -649,15 +655,17 @@ def _tree_problem(arrays: dict, n_features: int) -> str | None:
 
     Level by level: s split nodes and s + 1 leaves, the k-th split node's children 2k + 1 and
     2k + 2, after it. So each node but the root has one earlier parent, and the root reaches
-    it. Features must be in range, thresholds and values finite, and the bootstrap nonempty
-    and nonnegative.
+    it. Features must be -1 at leaves and in range at splits, thresholds and values finite,
+    and the bootstrap nonempty and nonnegative.
     """
     feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
     n = feature.size
     if n == 0 or any(a.shape != (n,) for k, a in arrays.items() if k != "bootstrap"):
         return "node arrays must be nonempty lists of equal length"
+    if np.any(feature < -1):
+        return "'feature' must be at least -1, which marks a leaf"
     split = feature >= 0
-    if (n != 2 * np.sum(split) + 1 or np.any(left != np.where(split, 2 * np.cumsum(split) - 1, -1))
+    if (n != 2 * np.sum(split) + 1 or np.any(left != _children(feature, [0]))
             or np.any(right != np.where(split, left + 1, -1))
             or np.any(left[split] <= np.flatnonzero(split))):
         return ("'left' and 'right' must number nodes level by level: 2s + 1 nodes for s splits, "

@@ -1,4 +1,5 @@
-"""The split search that fitting runs, read off the root of a one-level tree."""
+"""The split search that fitting runs, read off the root of a one-level tree, and the rows
+that reach each node of a grown tree."""
 
 import numpy as np
 
@@ -24,3 +25,24 @@ def root_split(y, X, min_child=1):
     go_left = X[:, feature] <= threshold
     rss = sum(float(np.sum((part - part.mean()) ** 2)) for part in (y[go_left], y[~go_left]))
     return feature, threshold, rss
+
+
+def leaf_of(tree, X):
+    """Leaf node of every row of X in one tree, stepping all rows together."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    while np.any(tree.feature[node] >= 0):
+        f = tree.feature[node]
+        below = X[rows, np.maximum(f, 0)] <= tree.threshold[node]
+        child = np.where(below, tree.left[node], tree.right[node])
+        node = np.where(f >= 0, child, node)
+    return node
+
+
+def node_counts(tree, X):
+    """Rows of X reaching each node of one tree: by ``leaf_of`` at leaves, and at a split node
+    the sum over its children. Children come after their parent, so one backward pass adds."""
+    count = np.bincount(leaf_of(tree, X), minlength=tree.feature.size)
+    for node in np.flatnonzero(tree.feature >= 0)[::-1].tolist():
+        count[node] = count[tree.left[node]] + count[tree.right[node]]
+    return count

@@ -49,9 +49,12 @@ def test_forest_passes_the_benchmark_checks(forest, loaded):
 
 
 def test_model_file_right_child_follows_left(forest):
+    """Each tree document holds exactly the arrays that the checks read, so a format that
+    drops one fails here before it fails a benchmark run."""
     _, fit = forest
     doc = json.loads(forest_to_json(fit))
     for tree in doc["center_trees"] + doc["radius_trees"]:
+        assert set(tree) == {"feature", "threshold", "left", "right", "value", "bootstrap"}
         feature, left, right = (np.array(tree[k]) for k in ("feature", "left", "right"))
         np.testing.assert_array_equal(right, np.where(feature >= 0, left + 1, -1))
         split = feature >= 0  # the k-th split node's left child is 2k + 1

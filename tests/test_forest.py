@@ -30,7 +30,7 @@ from ivforest.frame import IntervalFrame, SplitSpec, split
 from ivforest.models import model_from_json
 from ivforest.rng import stream
 from ivforest.simulate import SimSetting, simulate
-from splits import root_split
+from splits import leaf_of, node_counts, root_split
 
 
 def brute_force_split(rows, y, features, X, min_child=1, tol=1e-12):
@@ -162,7 +162,7 @@ class TestGrowTree:
         params = ForestParams(min_node=5, seed=0)
         boot = stream("boot", 1).integers(0, 80, 80)
         tree = grow_tree(boot, y, X, params, stream("t", 3))
-        leaf_counts = tree.count[tree.feature < 0]
+        leaf_counts = node_counts(tree, X[boot])[tree.feature < 0]
         assert leaf_counts.min() >= 5
 
     def test_max_depth_limits_tree(self):
@@ -184,7 +184,7 @@ class TestLevelWiseBuilder:
         small = fit_forest(frame, ForestParams(n_trees=3, seed=8))
         for component in ("center_trees", "radius_trees"):
             for a, b in zip(getattr(small, component), getattr(big, component)):
-                for name in ("feature", "threshold", "left", "right", "value", "count", "bootstrap"):
+                for name in ("feature", "threshold", "left", "right", "value", "bootstrap"):
                     x, y = getattr(a, name), getattr(b, name)
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
@@ -194,6 +194,18 @@ class TestLevelWiseBuilder:
         for tree in fit.center_trees + fit.radius_trees:
             split = tree.feature >= 0
             np.testing.assert_array_equal(tree.right[split], tree.left[split] + 1)
+
+    def test_children_of_trees_laid_end_to_end(self):
+        """A tree holds only what growth decides, and derives its children. ``_pack`` derives
+        the whole ensemble's at once: each tree's ``left``, moved to where the tree starts."""
+        assert [f.name for f in dataclasses.fields(Tree)] == ["feature", "threshold", "value",
+                                                              "bootstrap"]
+        fit = fit_forest(simulate(SimSetting(3, 150, 2)), ForestParams(n_trees=8, seed=1))
+        root = Tree(np.array([-1]), np.zeros(1), np.array([2.5]), np.arange(3))
+        trees = [root, *fit.center_trees, root, *fit.radius_trees, root]
+        nodes = _pack(trees)
+        want = [np.where(t.feature >= 0, t.left + lo, -1) for t, lo in zip(trees, nodes.bounds)]
+        assert nodes.left.tolist() == np.concatenate(want).tolist()
 
     def test_every_feature_a_candidate_draws_nothing(self):
         """With mtry == m no generator is drawn from, and the trees are those
@@ -211,7 +223,7 @@ class TestLevelWiseBuilder:
             real = grow_trees(X, y, boots, [stream("t", t) for t in range(6)], params)
             fake = grow_trees(X, y, boots, [NoDraw() for _ in range(6)], params)
             for a, b in zip(real, fake):
-                for name in ("feature", "threshold", "left", "right", "value", "count"):
+                for name in ("feature", "threshold", "left", "right", "value"):
                     x, z = getattr(a, name), getattr(b, name)
                     assert x.dtype == z.dtype and x.tobytes() == z.tobytes(), name
 
@@ -232,10 +244,11 @@ class TestLevelWiseBuilder:
             scale = float(np.max(np.abs(y)))
             for tree in trees:
                 assert _tree_problem({k: getattr(tree, k) for k in _TREE_ARRAYS}, m) is None
+                count = node_counts(tree, X[tree.bootstrap])
                 stack = [(0, tree.bootstrap)]
                 while stack:
                     node, rows = stack.pop()
-                    assert tree.count[node] == rows.size
+                    assert count[node] == rows.size
                     f = tree.feature[node]
                     if f < 0:
                         assert abs(tree.value[node] - y[rows].mean()) <= 1e-12 * scale
@@ -243,7 +256,6 @@ class TestLevelWiseBuilder:
                     oracle = brute_force_split(rows, y, range(m), X, min_child=3)
                     assert oracle is not None and (f, tree.threshold[node]) == oracle[:2]
                     l, r = tree.left[node], tree.right[node]
-                    assert tree.count[node] == tree.count[l] + tree.count[r]
                     go_left = X[rows, f] <= tree.threshold[node]
                     stack += [(l, rows[go_left]), (r, rows[~go_left])]
 
@@ -288,7 +300,7 @@ class TestDistinctRows:
         boot = rng.permutation(np.repeat(rng.choice(40, 8, replace=False), 5))
         tree = grow_tree(boot, y, X, ForestParams(min_node=2, mtry=2), stream("t", 0))
         assert calls[0] == (2, np.unique(boot).size) == (2, 8)
-        assert tree.count[0] == boot.size == 40
+        assert node_counts(tree, X[boot])[0] == boot.size == 40
 
     @pytest.mark.parametrize("copies, splits", [(4, False), (5, True)])
     def test_min_node_counts_copies(self, copies, splits):
@@ -301,10 +313,10 @@ class TestDistinctRows:
         if splits:
             assert tree.feature.tolist() == [0, -1, -1]
             assert tree.threshold[0] == 0.5
-            assert tree.count.tolist() == [6 + copies, copies, 6]
+            assert node_counts(tree, X[boot]).tolist() == [6 + copies, copies, 6]
         else:
             assert tree.feature.tolist() == [-1]
-            assert tree.count.tolist() == [6 + copies]
+            assert node_counts(tree, X[boot]).tolist() == [6 + copies]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_leaf_value_is_the_draw_order_mean(self, seed):
@@ -321,8 +333,7 @@ class TestDistinctRows:
             total = 0.0
             for row in boot[leaf == node].tolist():
                 total += float(y[row])
-            assert tree.count[node] == np.sum(leaf == node)
-            assert tree.value[node].tobytes() == np.float64(total / tree.count[node]).tobytes()
+            assert tree.value[node].tobytes() == np.float64(total / np.sum(leaf == node)).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_splits_depend_only_on_multiplicities(self, seed):
@@ -334,7 +345,7 @@ class TestDistinctRows:
         a = grow_tree(boot, y, X, params, stream("t", seed))
         b = grow_tree(rng.permutation(boot), y, X, params, stream("t", seed))
         assert a.n_leaves > 2
-        for name in ("feature", "threshold", "left", "count"):
+        for name in ("feature", "threshold", "left"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
         np.testing.assert_allclose(a.value, b.value, rtol=1e-12)
 
@@ -508,18 +519,6 @@ class TestSerialization:
             forest_from_json('{"model": "ke"}')
 
 
-def leaf_of(tree, X):
-    """Leaf node of every row of X in one tree, stepping all rows together."""
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    rows = np.arange(X.shape[0])
-    while np.any(tree.feature[node] >= 0):
-        f = tree.feature[node]
-        below = X[rows, np.maximum(f, 0)] <= tree.threshold[node]
-        child = np.where(below, tree.left[node], tree.right[node])
-        node = np.where(f >= 0, child, node)
-    return node
-
-
 def route(tree, X):
     """Leaf value of every row of X in one tree."""
     return tree.value[leaf_of(tree, X)]
@@ -538,7 +537,7 @@ def preorder(tree):
     new_id = np.empty_like(order)
     new_id[order] = np.arange(order.size)
     doc = {key: getattr(tree, key)[order].tolist()
-           for key in ("feature", "threshold", "value", "count")}
+           for key in ("feature", "threshold", "value")}
     for key, child in (("left", tree.left[order]), ("right", right[order])):
         doc[key] = np.where(child >= 0, new_id[child], -1).tolist()
     doc["bootstrap"] = tree.bootstrap.tolist()
@@ -624,17 +623,15 @@ def chain_tree(n_leaves, deep_right, n_rows):
     split i is on feature i % 2, and thresholds repeat along the chain."""
     n = 2 * n_leaves - 1
     feature = np.full(n, -1, dtype=np.int64)
-    left = np.full(n, -1, dtype=np.int64)
     node = 0
     for i in range(n_leaves - 1):
         feature[node] = i % 2
-        left[node] = 2 * i + 1
-        node = left[node] + deep_right
+        node = 2 * i + 1 + deep_right  # split i's children are 2i + 1 and 2i + 2
     split = feature >= 0
     threshold = np.where(split, np.arange(n) * 0.37 % 2 - 1, 0.0)
     value = np.where(split, 0.0, np.arange(n) / 7)
     bootstrap = np.arange(0, n_rows, 3, dtype=np.int64)
-    return Tree(feature, threshold, left, value, np.ones(n, dtype=np.int64), bootstrap)
+    return Tree(feature, threshold, value, bootstrap)
 
 
 @pytest.fixture
@@ -681,8 +678,7 @@ class TestLeafBitvectors:
         frame = simulate(SimSetting(1, 60, 2))
         X = frame.features()
         grown = fit_forest(frame, ForestParams(n_trees=3, seed=1)).center_trees
-        root = Tree(np.array([-1]), np.zeros(1), np.array([-1]), np.array([2.5]),
-                    np.array([60]), np.arange(0, 60, 2))
+        root = Tree(np.array([-1]), np.zeros(1), np.array([2.5]), np.arange(0, 60, 2))
         assert_paths_agree([root, root], X, out_of_bag=True)
         total, counts = assert_paths_agree([root, *grown, root], X)
         assert counts.tolist() == [5] * 60

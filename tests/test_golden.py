@@ -26,6 +26,7 @@ from ivforest.cli import main
 from ivforest.frame import load_csv
 from ivforest.models import fit_model, model_from_json, model_to_json, predict_model
 from ivforest.simulate import SimSetting, simulate
+from splits import node_counts
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH = ["bench", "--settings", "1-7", "--sizes", "200,1000", "--reps", "2", "--models",
@@ -95,11 +96,14 @@ def exact_bytes() -> bool:
 
 def test_committed_forest_file_predicts_as_it_did(tmp_path):
     """The committed ``fit_rf.json`` loads, and predicts the rows it was fitted on as a forest
-    fitted now does."""
+    fitted now does. Files written before trees stopped keeping node counts carry a ``count``
+    list in every tree, which is not read: the file with the real counts put back, or with
+    zeros, predicts the same bytes."""
     data = tmp_path / "fit_data.csv"
     assert main(["simulate", "--setting", "5", "--n", "120", "--seed", "1", "--out", str(data)]) == 0
     frame = load_csv(data)
-    loaded = model_from_json((GOLDEN / "fit_rf.json").read_text(encoding="utf-8"), "fit_rf.json")
+    text = (GOLDEN / "fit_rf.json").read_text(encoding="utf-8")
+    loaded = model_from_json(text, "fit_rf.json")
     got = predict_model(loaded, frame)
     want = predict_model(fit_model("rf", frame, 1, n_trees=10), frame)
     exact = exact_bytes()
@@ -108,6 +112,18 @@ def test_committed_forest_file_predicts_as_it_did(tmp_path):
             assert a.tobytes() == b.tobytes()
         else:
             np.testing.assert_allclose(a, b, rtol=REL_TOL, atol=0.0)
+
+    doc = json.loads(text)
+    trees = loaded.center_trees + loaded.radius_trees
+    docs = doc["center_trees"] + doc["radius_trees"]
+    assert not any("count" in tdoc for tdoc in docs)
+    real = [node_counts(tree, frame.features()[tree.bootstrap]) for tree in trees]
+    for counts in (real, [np.zeros_like(c) for c in real]):
+        for tdoc, c in zip(docs, counts):
+            tdoc["count"] = c.tolist()
+        old = predict_model(model_from_json(json.dumps(doc, sort_keys=True), "old.json"), frame)
+        assert old.center.tobytes() == got.center.tobytes()
+        assert old.radius.tobytes() == got.radius.tobytes()
 
 
 def test_outputs_match_golden(tmp_path, monkeypatch):

@@ -97,24 +97,28 @@ def _append_unreached_split(tree):
     """A split node and its two leaves after the grown nodes, which the root does not reach."""
     n = len(tree["feature"])
     for key, at_split, at_leaf in (("feature", 0, -1), ("threshold", 0.5, 0.0), ("left", n + 1, -1),
-                                   ("right", n + 2, -1), ("value", 0.0, 1.0), ("count", 2, 1)):
+                                   ("right", n + 2, -1), ("value", 0.0, 1.0)):
         tree[key] += [at_split, at_leaf, at_leaf]
 
 
 def _append_unreached_leaf(tree):
     for key, at_leaf in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1),
-                         ("value", 1.0), ("count", 1)):
+                         ("value", 1.0)):
         tree[key].append(at_leaf)
 
 
 def _own_child(tree):
     """Split node 4, the second split node, is numbered to have children 3 and 4: itself."""
     tree.update(feature=[0, -1, -1, -1, 1], threshold=[0.5, 0.0, 0.0, 0.0, 0.5],
-                left=[1, -1, -1, -1, 3], right=[2, -1, -1, -1, 4], value=[0.0, 1.0, 2.0, 3.0, 0.0],
-                count=[10, 5, 5, 1, 1])
+                left=[1, -1, -1, -1, 3], right=[2, -1, -1, -1, 4], value=[0.0, 1.0, 2.0, 3.0, 0.0])
 
 
 NUMBERING = "'left' and 'right' must number nodes level by level"
+
+
+def integers(key):
+    return f"{key!r} must be a list of JSON integers"
+
 
 TREE_FAULTS = {
     "arrays of unequal length": (lambda tree: tree["value"].pop(), "equal length"),
@@ -122,6 +126,12 @@ TREE_FAULTS = {
     "child out of range": (_set("right", 0, 10**6), NUMBERING),
     "negative child": (_set("left", 0, -1), NUMBERING),
     "split feature out of range": (_set("feature", 0, 2), "'feature' must be below 2"),
+    "feature below -1": (_set("feature", -1, -7), "'feature' must be at least -1"),
+    "fractional feature": (_set("feature", 0, 0.9), integers("feature")),
+    "quoted feature": (_set("feature", 0, "0"), integers("feature")),
+    "boolean feature": (_set("feature", 0, True), integers("feature")),
+    "whole-number float child": (_set("left", 0, 1.0), integers("left")),
+    "quoted child": (_set("right", 0, "2"), integers("right")),
     "left child is the right child": (lambda tree: _set("right", 0, tree["left"][0])(tree),
                                       NUMBERING),
     "node with two parents": (_share_child, NUMBERING),
@@ -133,6 +143,8 @@ TREE_FAULTS = {
     "no bootstrap": (lambda tree: tree.pop("bootstrap"), "no key 'bootstrap'"),
     "empty bootstrap": (lambda tree: tree["bootstrap"].clear(), "'bootstrap' must be nonempty"),
     "negative bootstrap index": (_set("bootstrap", 3, -1), "'bootstrap' must be nonempty"),
+    "fractional bootstrap index": (_set("bootstrap", 3, 3.7), integers("bootstrap")),
+    "quoted bootstrap index": (_set("bootstrap", 3, "5"), integers("bootstrap")),
 }
 
 
