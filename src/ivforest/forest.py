@@ -30,13 +30,18 @@ TOIS 35(2), 2016) when there are more rows than those trees have distinct
 blocks of (tree, row) pairs serves both paths, which give the same bytes.
 A tree's leaves are numbered left to right from its subtrees' leaf counts.
 
-Model files hold trees numbered as ``grow_trees`` numbers them, and no other.
+Model files hold trees numbered as ``grow_trees`` numbers them, and no other,
+as compact JSON. The writer and the reader take one ensemble at a time: each
+array key becomes one array for all of its trees, and every check runs over
+those arrays at once. A file with several faulty trees names the lowest tree
+that any check rejects.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -119,16 +124,17 @@ class Tree:
 # files written before carried, is not read.
 _TREE_ARRAYS = {"feature": np.int64, "threshold": float, "left": np.int64, "right": np.int64,
                 "value": float, "bootstrap": np.int64}
+_NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")  # one entry per node
 
 
 def _children(feature: np.ndarray, starts) -> np.ndarray:
     """Each split node's left child in trees laid end to end, tree i from node ``starts[i]``,
-    as an index into the concatenation; -1 at leaves. A tree's k-th split node has children
-    2k + 1 and 2k + 2 of its own tree."""
+    as an index within its own tree; -1 at leaves. A tree's k-th split node has children
+    2k + 1 and 2k + 2."""
     split = feature >= 0
     before = np.cumsum(split) - split  # split nodes before each node
     first = np.repeat(starts, np.diff(starts, append=feature.size))  # each node's tree start
-    return np.where(split, first + 2 * (before - before[first]) + 1, -1)
+    return np.where(split, 2 * (before - before[first]) + 1, -1)
 
 
 def _best_splits(
@@ -368,7 +374,7 @@ class _Nodes(NamedTuple):
     tree_of: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray  # an index into the concatenation, from _children
+    left: np.ndarray  # an index into the concatenation: _children's, moved by its tree's start
     value: np.ndarray
     word: np.ndarray  # per tree, whether it has at most 64 leaves
     pair_feature: np.ndarray  # the word trees' distinct (feature, threshold) pairs, sorted
@@ -392,8 +398,10 @@ def _pack(trees: list[Tree]) -> _Nodes:
     new[1:] = (f[1:] != f[:-1]) | (thr[1:] != thr[:-1])
     pair = np.full(feature.size, -1, dtype=np.int64)
     pair[split] = np.cumsum(new) - 1
-    return _Nodes(trees, bounds, tree_of, feature, threshold, _children(feature, bounds[:-1]),
-                  value, word, f[new], thr[new], pair)
+    left = _children(feature, bounds[:-1])
+    left = np.where(left >= 0, left + bounds[tree_of], -1)
+    return _Nodes(trees, bounds, tree_of, feature, threshold, left, value, word, f[new], thr[new],
+                  pair)
 
 
 def _tree_sums(
@@ -593,9 +601,6 @@ def oob_error(fit: ForestFit, train: IntervalFrame) -> dict:
 
 
 def forest_to_json(fit: ForestFit) -> str:
-    def tree_doc(tree: Tree) -> dict:
-        return {key: getattr(tree, key).tolist() for key in _TREE_ARRAYS}
-
     doc = {
         "format_version": 1,
         "model": "rf",
@@ -603,10 +608,25 @@ def forest_to_json(fit: ForestFit) -> str:
         "predictors": list(fit.predictor_names),
         "params": asdict(fit.params),
         "oob": fit.oob,
-        "center_trees": [tree_doc(t) for t in fit.center_trees],
-        "radius_trees": [tree_doc(t) for t in fit.radius_trees],
+        "center_trees": _tree_docs(fit.center_trees),
+        "radius_trees": _tree_docs(fit.radius_trees),
     }
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _tree_docs(trees: list[Tree]) -> list[dict]:
+    """Each tree's model-file arrays, every key's made for the whole ensemble at once."""
+    sizes = [t.feature.size for t in trees]
+    bounds = np.cumsum([0] + sizes)
+    feature = np.concatenate([t.feature for t in trees])
+    left = _children(feature, bounds[:-1])
+    nodes = {"feature": feature, "left": left, "right": np.where(left >= 0, left + 1, -1),
+             **{key: np.concatenate([getattr(t, key) for t in trees])
+                for key in ("threshold", "value")}}
+    lists = {key: a.tolist() for key, a in nodes.items()}
+    bounds = bounds.tolist()
+    return [{"bootstrap": t.bootstrap.tolist(), **{key: v[a:b] for key, v in lists.items()}}
+            for t, a, b in zip(trees, bounds, bounds[1:])]
 
 
 def forest_from_json(text: str) -> ForestFit:
@@ -619,62 +639,127 @@ def forest_from_doc(doc: dict) -> ForestFit:
     feature_names = tuple(doc["feature_names"])
     if len(feature_names) != 2 * len(doc["predictors"]):
         raise ConfigError("'feature_names' must name a center and a radius per predictor")
-
-    def trees_from(key: str) -> list[Tree]:
-        trees = []
-        for i, tdoc in enumerate(doc[key]):
-            missing = [k for k in _TREE_ARRAYS if k not in tdoc]
-            if missing:
-                raise ConfigError(f"{key}[{i}]: no key {missing[0]!r}")
-            # numpy would truncate 0.9 and parse "7"; and a bool among ints reads as 0 or 1
-            loose = [k for k, dtype in _TREE_ARRAYS.items() if dtype is np.int64
-                     and not (isinstance(tdoc[k], list) and set(map(type, tdoc[k])) <= {int})]
-            if loose:
-                raise ConfigError(f"{key}[{i}]: {loose[0]!r} must be a list of JSON integers")
-            arrays = {k: np.asarray(tdoc[k], dtype=dtype) for k, dtype in _TREE_ARRAYS.items()}
-            problem = _tree_problem(arrays, len(feature_names))
-            if problem:
-                raise ConfigError(f"{key}[{i}]: {problem}")
-            trees.append(Tree(**{k: a for k, a in arrays.items() if k not in ("left", "right")}))
-        if not trees:
-            raise ConfigError(f"{key!r} holds no tree")
-        return trees
-
     return ForestFit(
         feature_names,
         tuple(doc["predictors"]),
         ForestParams(**doc["params"]),
-        trees_from("center_trees"),
-        trees_from("radius_trees"),
+        _trees_from(doc, "center_trees", len(feature_names)),
+        _trees_from(doc, "radius_trees", len(feature_names)),
         doc.get("oob", {}),
     )
 
 
-def _tree_problem(arrays: dict, n_features: int) -> str | None:
-    """Why a model file's tree arrays are not a tree as ``grow_trees`` numbers it, or None.
+class _Faults:
+    """The lowest faulty tree of ensemble ``key`` found so far, and the first check to reject it.
 
-    Level by level: s split nodes and s + 1 leaves, the k-th split node's children 2k + 1 and
-    2k + 2, after it. So each node but the root has one earlier parent, and the root reaches
-    it. Features must be -1 at leaves and in range at splits, thresholds and values finite,
-    and the bootstrap nonempty and nonnegative.
+    Checks run in a fixed order, each over the trees below that one, which passed every
+    earlier check. So the fault left at the end is the one that checking the trees one at a
+    time would find: the lowest tree that any check rejects, and the first check that does.
     """
+
+    def __init__(self, key: str, n_trees: int):
+        self.key = key
+        self.good = n_trees  # the trees below the lowest faulty one
+        self.problem = None
+
+    def check(self, bad, problem: str) -> None:
+        """Record ``problem`` at the first tree flagged in ``bad``, a flag per tree from the
+        first, if it lies below ``good``. No tree lies below tree 0, so a fault there raises."""
+        at = np.flatnonzero(bad[: self.good])
+        if at.size:
+            self.good, self.problem = int(at[0]), problem
+            if self.good == 0:
+                self.raise_if_found()
+
+    def raise_if_found(self) -> None:
+        if self.problem is not None:
+            raise ConfigError(f"{self.key}[{self.good}]: {self.problem}")
+
+
+def _trees_from(doc: dict, key: str, n_features: int) -> list[Tree]:
+    """Ensemble ``key`` of a model file, each array key read once for all of its trees.
+
+    A fault is a ConfigError naming the lowest tree that any check rejects and the first check
+    that rejects it (``_Faults``). The checks, in order: each tree has every key; each key is
+    a list, of JSON integers for an integer key and of numbers for the others; the integers
+    fit int64; the node arrays are nonempty and of one length; then ``_tree_problems``.
+    """
+    docs = doc[key]
+    if not docs:
+        raise ConfigError(f"{key!r} holds no tree")
+    faults = _Faults(key, len(docs))
+    for k in _TREE_ARRAYS:
+        faults.check([k not in tdoc for tdoc in docs], f"no key {k!r}")
+    # numpy would truncate 0.9 and parse "7"; and a bool among ints reads as 0 or 1
+    for k, dtype in _TREE_ARRAYS.items():
+        lists = [tdoc[k] for tdoc in docs[: faults.good]]
+        if dtype is np.int64:
+            faults.check([not (isinstance(v, list) and set(map(type, v)) <= {int}) for v in lists],
+                         f"{k!r} must be a list of JSON integers")
+        else:
+            faults.check([not isinstance(v, list) for v in lists], f"{k!r} must be a list of numbers")
+    arrays, sizes = {}, {}
+    for k, dtype in _TREE_ARRAYS.items():
+        lists = [tdoc[k] for tdoc in docs[: faults.good]]
+        sizes[k] = np.fromiter(map(len, lists), np.int64, len(lists))
+        try:
+            arrays[k] = np.fromiter(chain.from_iterable(lists), dtype, int(sizes[k].sum()))
+        except (OverflowError, TypeError, ValueError):  # some tree's list does not convert
+            parts = []
+            for v in lists:
+                try:
+                    parts.append(np.fromiter(v, dtype, len(v)))
+                except (OverflowError, TypeError, ValueError):
+                    break
+            faults.check(np.arange(len(lists)) == len(parts),
+                         f"{k!r} holds an integer beyond int64" if dtype is np.int64
+                         else f"{k!r} must be a list of numbers")
+            arrays[k] = np.concatenate(parts)  # faults.check raised if the first tree failed
+    n = sizes["feature"][: faults.good]
+    faults.check((n == 0) | np.any([sizes[k][: faults.good] != n for k in _NODE_ARRAYS], axis=0),
+                 "node arrays must be nonempty lists of equal length")
+    n, draws = n[: faults.good], sizes["bootstrap"][: faults.good]
+    arrays = {k: a[: (draws if k == "bootstrap" else n).sum()] for k, a in arrays.items()}
+    for bad, problem in _tree_problems(arrays, n, draws, n_features):
+        faults.check(bad, problem)
+    faults.raise_if_found()
+    nodes = np.cumsum(np.append(0, n[: faults.good])).tolist()
+    boots = np.cumsum(np.append(0, draws[: faults.good])).tolist()
+    feature, threshold, value = (arrays[k] for k in ("feature", "threshold", "value"))
+    return [Tree(feature[a:b], threshold[a:b], value[a:b], arrays["bootstrap"][c:d])
+            for a, b, c, d in zip(nodes, nodes[1:], boots, boots[1:])]
+
+
+def _tree_problems(arrays: dict, n_nodes: np.ndarray, n_draws: np.ndarray, n_features: int):
+    """Each check of an ensemble's model-file arrays in turn: a flag per tree it rejects, and
+    the problem it names.
+
+    ``arrays`` holds each key's entries of all trees laid end to end; tree i has ``n_nodes[i]``
+    nodes, at least one, in each node array and ``n_draws[i]`` bootstrap entries. A tree must
+    be a tree as ``grow_trees`` numbers it, level by level: s split nodes and s + 1 leaves,
+    the k-th split node's children 2k + 1 and 2k + 2, after it. So each node but the root has
+    one earlier parent, and the root reaches it. Features must be -1 at leaves and in range
+    at splits, thresholds and values finite, and the bootstrap nonempty and nonnegative. Each
+    check flags trees that an earlier one rejected as well; only the first flag counts.
+    """
+    starts = np.cumsum(n_nodes) - n_nodes
+
+    def any_node(bad):  # per tree, whether any of its nodes is bad
+        return np.logical_or.reduceat(bad, starts)
+
     feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
-    n = feature.size
-    if n == 0 or any(a.shape != (n,) for k, a in arrays.items() if k != "bootstrap"):
-        return "node arrays must be nonempty lists of equal length"
-    if np.any(feature < -1):
-        return "'feature' must be at least -1, which marks a leaf"
+    yield any_node(feature < -1), "'feature' must be at least -1, which marks a leaf"
     split = feature >= 0
-    if (n != 2 * np.sum(split) + 1 or np.any(left != _children(feature, [0]))
-            or np.any(right != np.where(split, left + 1, -1))
-            or np.any(left[split] <= np.flatnonzero(split))):
-        return ("'left' and 'right' must number nodes level by level: 2s + 1 nodes for s splits, "
-                "split k's children 2k + 1 and 2k + 2, after it, and -1 at leaves")
-    if np.any(feature >= n_features):
-        return f"'feature' must be below {n_features}"
+    want = _children(feature, starts)
+    node = np.arange(feature.size) - np.repeat(starts, n_nodes)  # each node's index in its tree
+    yield ((n_nodes != 2 * np.add.reduceat(split, starts, dtype=np.int64) + 1)
+           | any_node((left != want) | (right != np.where(split, want + 1, -1))
+                      | (split & (want <= node))),
+           "'left' and 'right' must number nodes level by level: 2s + 1 nodes for s splits, "
+           "split k's children 2k + 1 and 2k + 2, after it, and -1 at leaves")
+    yield any_node(feature >= n_features), f"'feature' must be below {n_features}"
     for key in ("threshold", "value"):
-        if not np.all(np.isfinite(arrays[key])):
-            return f"{key!r} must be finite"
-    if arrays["bootstrap"].size == 0 or arrays["bootstrap"].min() < 0:
-        return "'bootstrap' must be nonempty, with no negative row index"
-    return None
+        yield any_node(~np.isfinite(arrays[key])), f"{key!r} must be finite"
+    negative = np.repeat(np.arange(n_draws.size), n_draws)[arrays["bootstrap"] < 0]
+    yield ((n_draws == 0) | (np.bincount(negative, minlength=n_draws.size) > 0),
+           "'bootstrap' must be nonempty, with no negative row index")

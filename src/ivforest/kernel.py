@@ -316,7 +316,7 @@ def kernel_to_json(fit: KernelFit) -> str:
             "y_radius": list(map(float, fit.y_radius)),
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def kernel_from_doc(doc: dict) -> KernelFit:

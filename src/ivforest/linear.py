@@ -220,7 +220,7 @@ def linear_to_json(fit: LinearFit) -> str:
             "rank_deficient": bool(fit.rank_deficient),
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def linear_from_doc(doc: dict) -> LinearFit:

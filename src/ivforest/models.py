@@ -137,6 +137,6 @@ def model_from_json(text, source: str = "<string>", kinds: tuple[str, ...] = MOD
         return forest_from_doc(doc)
     except KeyError as exc:
         raise ConfigError(f"{source}: {name} model file has no key {exc}") from None
-    # OverflowError: an integer array entry, such as a child index, beyond int64
+    # OverflowError: an integer too large for a float, such as a bandwidth of 10**400
     except (AttributeError, IndexError, OverflowError, TypeError, ValueError, IvforestError) as exc:
         raise ConfigError(f"{source}: bad {name} model file: {exc}") from None

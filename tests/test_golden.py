@@ -20,6 +20,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ivforest import forest
 from ivforest.cli import main
@@ -124,6 +125,25 @@ def test_committed_forest_file_predicts_as_it_did(tmp_path):
         old = predict_model(model_from_json(json.dumps(doc, sort_keys=True), "old.json"), frame)
         assert old.center.tobytes() == got.center.tobytes()
         assert old.radius.tobytes() == got.radius.tobytes()
+
+
+@pytest.mark.parametrize("model", FIT_MODELS)
+def test_committed_model_files_read_with_any_whitespace(model):
+    """Model files are written as compact JSON, and read with any whitespace: the committed
+    file re-dumped with spaces, or indented as ke and linear files once were, loads to the same
+    model and predicts the same bytes."""
+    text = (GOLDEN / f"fit_{model}.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    compact = model_from_json(text, "compact.json")
+    assert model_to_json(compact) == text
+    frame = simulate(SimSetting(5, 120, 1))
+    want = predict_model(compact, frame)
+    for indent in (None, 2):
+        spaced = model_from_json(json.dumps(doc, sort_keys=True, indent=indent), "spaced.json")
+        assert model_to_json(spaced) == text
+        got = predict_model(spaced, frame)
+        assert got.center.tobytes() == want.center.tobytes()
+        assert got.radius.tobytes() == want.radius.tobytes()
 
 
 def test_outputs_match_golden(tmp_path, monkeypatch):

@@ -25,6 +25,7 @@ def test_round_trip(train_test, name):
     train, test = train_test
     fit = fit_model(name, train, seed=4, n_trees=5)
     text = model_to_json(fit)
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
     again = model_from_json(text, "model.json")
     assert type(again) is type(fit)
     assert again.predictor_names == train.predictor_names
@@ -132,6 +133,7 @@ TREE_FAULTS = {
     "boolean feature": (_set("feature", 0, True), integers("feature")),
     "whole-number float child": (_set("left", 0, 1.0), integers("left")),
     "quoted child": (_set("right", 0, "2"), integers("right")),
+    "feature beyond int64": (_set("feature", 0, 2**63), "'feature' holds an integer beyond int64"),
     "left child is the right child": (lambda tree: _set("right", 0, tree["left"][0])(tree),
                                       NUMBERING),
     "node with two parents": (_share_child, NUMBERING),
@@ -140,11 +142,16 @@ TREE_FAULTS = {
     "split node its own child": (_own_child, NUMBERING),
     "infinite threshold": (_set("threshold", 0, float("inf")), "'threshold' must be finite"),
     "nan leaf value": (_set("value", -1, float("nan")), "'value' must be finite"),
+    "word as a leaf value": (_set("value", -1, "abc"), "'value' must be a list of numbers"),
+    "thresholds not a list": (lambda tree: tree.update(threshold="0.5"),
+                              "'threshold' must be a list of numbers"),
     "no bootstrap": (lambda tree: tree.pop("bootstrap"), "no key 'bootstrap'"),
     "empty bootstrap": (lambda tree: tree["bootstrap"].clear(), "'bootstrap' must be nonempty"),
     "negative bootstrap index": (_set("bootstrap", 3, -1), "'bootstrap' must be nonempty"),
     "fractional bootstrap index": (_set("bootstrap", 3, 3.7), integers("bootstrap")),
     "quoted bootstrap index": (_set("bootstrap", 3, "5"), integers("bootstrap")),
+    "bootstrap index beyond int64": (_set("bootstrap", 3, 2**70),
+                                     "'bootstrap' holds an integer beyond int64"),
 }
 
 
@@ -172,3 +179,42 @@ def test_forest_without_trees_rejected(forest_text):
     doc["center_trees"] = []
     with pytest.raises(ConfigError, match="'center_trees' holds no tree"):
         model_from_json(json.dumps(doc), "rf.json")
+
+
+def _drop(key):
+    def edit(tree):
+        del tree[key]
+    return edit
+
+
+# two faults each, in trees (i, j) of the center ensemble: the tree named is the lower one,
+# whichever check rejects each of them
+TWO_FAULTS = {
+    "lower fault found by a later check": ((120, _set("threshold", 0, float("inf"))),
+                                           (300, _drop("left")), "'threshold' must be finite"),
+    "lower fault found by an earlier check": ((7, _set("feature", 0, 2**63)),
+                                              (450, _set("value", -1, float("nan"))),
+                                              "'feature' holds an integer beyond int64"),
+    "both found by one check": ((64, _set("feature", 0, 9)), (65, _set("feature", 0, 9)),
+                                "'feature' must be below 2"),
+}
+
+
+def test_forest_of_paper_size_round_trips_and_names_the_lowest_faulty_tree():
+    """500 trees per component on 200 rows, as in the paper's simulation study."""
+    fit = fit_model("rf", simulate(SimSetting(3, 200, 5)), seed=6, n_trees=500)
+    text = model_to_json(fit)
+    again = model_from_json(text, "rf.json")
+    for component in ("center_trees", "radius_trees"):
+        for a, b in zip(getattr(fit, component), getattr(again, component), strict=True):
+            for key in ("feature", "threshold", "value", "bootstrap"):
+                x, y = getattr(a, key), getattr(b, key)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), key
+    for (low, edit_low), (high, edit_high), named in TWO_FAULTS.values():
+        doc = json.loads(text)
+        assert doc["center_trees"][low]["feature"][0] >= 0
+        edit_low(doc["center_trees"][low])
+        edit_high(doc["center_trees"][high])
+        with pytest.raises(ConfigError, match=rf"^rf.json: .*center_trees\[{low}\]: ") as info:
+            model_from_json(json.dumps(doc), "rf.json")
+        assert named in str(info.value)
