@@ -31,17 +31,18 @@ blocks of (tree, row) pairs serves both paths, which give the same bytes.
 A tree's leaves are numbered left to right from its subtrees' leaf counts.
 
 Model files hold trees numbered as ``grow_trees`` numbers them, and no other,
-as compact JSON. The writer and the reader take one ensemble at a time: each
-array key becomes one array for all of its trees, and every check runs over
-those arrays at once. A file with several faulty trees names the lowest tree
-that any check rejects.
+as compact JSON. Trees are written and read one at a time: the writer encodes
+each tree's object on its own, and the reader turns each tree's lists into
+arrays as the parser closes the tree, so neither holds a file's trees as
+Python lists, and each peaks at about 3x the file. Checks still run over each
+ensemble at once, on every array key's arrays laid end to end; a file with
+several faulty trees names the lowest tree that any check rejects.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -125,6 +126,7 @@ class Tree:
 _TREE_ARRAYS = {"feature": np.int64, "threshold": float, "left": np.int64, "right": np.int64,
                 "value": float, "bootstrap": np.int64}
 _NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")  # one entry per node
+_JSON_TYPES = {np.int64: {int}, float: {int, float}}  # the types each dtype's lists may hold
 
 
 def _children(feature: np.ndarray, starts) -> np.ndarray:
@@ -601,6 +603,10 @@ def oob_error(fit: ForestFit, train: IntervalFrame) -> dict:
 
 
 def forest_to_json(fit: ForestFit) -> str:
+    """The model file's text, ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` of
+    the whole document, made one tree's text at a time, so the document never exists as lists.
+    """
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     doc = {
         "format_version": 1,
         "model": "rf",
@@ -608,25 +614,35 @@ def forest_to_json(fit: ForestFit) -> str:
         "predictors": list(fit.predictor_names),
         "params": asdict(fit.params),
         "oob": fit.oob,
-        "center_trees": _tree_docs(fit.center_trees),
-        "radius_trees": _tree_docs(fit.radius_trees),
+        "center_trees": fit.center_trees,
+        "radius_trees": fit.radius_trees,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    pieces = []
+    for key, value in sorted(doc.items()):
+        pieces += [",", encode(key), ":"]
+        pieces += _tree_texts(value, encode) if key.endswith("_trees") else [encode(value)]
+    pieces[0] = "{"
+    pieces.append("}")
+    return "".join(pieces)
 
 
-def _tree_docs(trees: list[Tree]) -> list[dict]:
-    """Each tree's model-file arrays, every key's made for the whole ensemble at once."""
+def _tree_texts(trees: list[Tree], encode):
+    """An ensemble's JSON array in pieces: each tree's model-file object, encoded on its own,
+    with ``[``, ``,`` and ``]`` around them. Child indices are derived once for all trees."""
     sizes = [t.feature.size for t in trees]
-    bounds = np.cumsum([0] + sizes)
+    bounds = np.cumsum([0] + sizes).tolist()
     feature = np.concatenate([t.feature for t in trees])
     left = _children(feature, bounds[:-1])
     nodes = {"feature": feature, "left": left, "right": np.where(left >= 0, left + 1, -1),
              **{key: np.concatenate([getattr(t, key) for t in trees])
                 for key in ("threshold", "value")}}
-    lists = {key: a.tolist() for key, a in nodes.items()}
-    bounds = bounds.tolist()
-    return [{"bootstrap": t.bootstrap.tolist(), **{key: v[a:b] for key, v in lists.items()}}
-            for t, a, b in zip(trees, bounds, bounds[1:])]
+    yield "["
+    for i, (t, a, b) in enumerate(zip(trees, bounds, bounds[1:])):
+        if i:
+            yield ","
+        yield encode({"bootstrap": t.bootstrap.tolist(),
+                      **{key: v[a:b].tolist() for key, v in nodes.items()}})
+    yield "]"
 
 
 def forest_from_json(text: str) -> ForestFit:
@@ -676,58 +692,66 @@ class _Faults:
             raise ConfigError(f"{self.key}[{self.good}]: {self.problem}")
 
 
+def read_tree_arrays(obj: dict) -> dict:
+    """A ``json.loads`` object hook: ``obj`` with each ``_TREE_ARRAYS`` key's list made an
+    array as the decoder closes the object, so a model file's trees are never held as lists.
+
+    A list converts only if it holds JSON integers that fit int64, for an integer key, or
+    JSON numbers for the others: numpy would truncate 0.9 and parse ``"7"``, and a bool reads
+    as 0 or 1. Any other value is left as it is, for ``_trees_from`` to name. Arrays are left
+    alone, so a second pass changes nothing.
+    """
+    for k, dtype in _TREE_ARRAYS.items():
+        v = obj.get(k)
+        if isinstance(v, list) and set(map(type, v)) <= _JSON_TYPES[dtype]:
+            try:
+                obj[k] = np.fromiter(v, dtype, len(v))
+            except OverflowError:  # beyond int64, or an integer beyond a float
+                pass
+    return obj
+
+
 def _trees_from(doc: dict, key: str, n_features: int) -> list[Tree]:
-    """Ensemble ``key`` of a model file, each array key read once for all of its trees.
+    """Ensemble ``key`` of a model file, its trees' arrays read by ``read_tree_arrays`` and
+    checked for all trees at once.
 
     A fault is a ConfigError naming the lowest tree that any check rejects and the first check
     that rejects it (``_Faults``). The checks, in order: each tree has every key; each key is
-    a list, of JSON integers for an integer key and of numbers for the others; the integers
-    fit int64; the node arrays are nonempty and of one length; then ``_tree_problems``.
+    a list, of JSON integers for an integer key; each list converted: its integers fit int64,
+    and a float key's list holds only JSON numbers; the node arrays are nonempty and of one
+    length; then ``_tree_problems``, over each key's arrays laid end to end.
     """
     docs = doc[key]
     if not docs:
         raise ConfigError(f"{key!r} holds no tree")
+    docs = [read_tree_arrays(t) if isinstance(t, dict) else t for t in docs]
     faults = _Faults(key, len(docs))
     for k in _TREE_ARRAYS:
-        faults.check([k not in tdoc for tdoc in docs], f"no key {k!r}")
-    # numpy would truncate 0.9 and parse "7"; and a bool among ints reads as 0 or 1
+        faults.check([k not in t for t in docs], f"no key {k!r}")
     for k, dtype in _TREE_ARRAYS.items():
-        lists = [tdoc[k] for tdoc in docs[: faults.good]]
-        if dtype is np.int64:
-            faults.check([not (isinstance(v, list) and set(map(type, v)) <= {int}) for v in lists],
+        values = [t[k] for t in docs[: faults.good]]
+        if dtype is np.int64:  # a list of JSON integers beyond int64 stays a list
+            faults.check([not (isinstance(v, np.ndarray) or isinstance(v, list)
+                               and set(map(type, v)) <= {int}) for v in values],
                          f"{k!r} must be a list of JSON integers")
         else:
-            faults.check([not isinstance(v, list) for v in lists], f"{k!r} must be a list of numbers")
-    arrays, sizes = {}, {}
+            faults.check([not isinstance(v, (list, np.ndarray)) for v in values],
+                         f"{k!r} must be a list of numbers")
     for k, dtype in _TREE_ARRAYS.items():
-        lists = [tdoc[k] for tdoc in docs[: faults.good]]
-        sizes[k] = np.fromiter(map(len, lists), np.int64, len(lists))
-        try:
-            arrays[k] = np.fromiter(chain.from_iterable(lists), dtype, int(sizes[k].sum()))
-        except (OverflowError, TypeError, ValueError):  # some tree's list does not convert
-            parts = []
-            for v in lists:
-                try:
-                    parts.append(np.fromiter(v, dtype, len(v)))
-                except (OverflowError, TypeError, ValueError):
-                    break
-            faults.check(np.arange(len(lists)) == len(parts),
-                         f"{k!r} holds an integer beyond int64" if dtype is np.int64
-                         else f"{k!r} must be a list of numbers")
-            arrays[k] = np.concatenate(parts)  # faults.check raised if the first tree failed
-    n = sizes["feature"][: faults.good]
-    faults.check((n == 0) | np.any([sizes[k][: faults.good] != n for k in _NODE_ARRAYS], axis=0),
+        faults.check([not isinstance(t[k], np.ndarray) for t in docs[: faults.good]],
+                     f"{k!r} holds an integer beyond int64" if dtype is np.int64
+                     else f"{k!r} must be a list of numbers")
+    docs = docs[: faults.good]
+    sizes = {k: np.fromiter((t[k].size for t in docs), np.int64, len(docs)) for k in _TREE_ARRAYS}
+    n = sizes["feature"]
+    faults.check((n == 0) | np.any([sizes[k] != n for k in _NODE_ARRAYS], axis=0),
                  "node arrays must be nonempty lists of equal length")
-    n, draws = n[: faults.good], sizes["bootstrap"][: faults.good]
-    arrays = {k: a[: (draws if k == "bootstrap" else n).sum()] for k, a in arrays.items()}
+    docs, n, draws = docs[: faults.good], n[: faults.good], sizes["bootstrap"][: faults.good]
+    arrays = {k: np.concatenate([t[k] for t in docs]) for k in _TREE_ARRAYS}
     for bad, problem in _tree_problems(arrays, n, draws, n_features):
         faults.check(bad, problem)
     faults.raise_if_found()
-    nodes = np.cumsum(np.append(0, n[: faults.good])).tolist()
-    boots = np.cumsum(np.append(0, draws[: faults.good])).tolist()
-    feature, threshold, value = (arrays[k] for k in ("feature", "threshold", "value"))
-    return [Tree(feature[a:b], threshold[a:b], value[a:b], arrays["bootstrap"][c:d])
-            for a, b, c, d in zip(nodes, nodes[1:], boots, boots[1:])]
+    return [Tree(t["feature"], t["threshold"], t["value"], t["bootstrap"]) for t in docs]
 
 
 def _tree_problems(arrays: dict, n_nodes: np.ndarray, n_draws: np.ndarray, n_features: int):

@@ -78,5 +78,11 @@ def hyper_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     mean = b.mean(axis=0)
     a = a - mean
     b = b - mean
-    d2 = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T
+    return centered_distance(a, np.sum(a**2, axis=1), b, np.sum(b**2, axis=1))
+
+
+def centered_distance(a: np.ndarray, a_norms: np.ndarray, b: np.ndarray,
+                      b_norms: np.ndarray) -> np.ndarray:
+    """``hyper_distance`` of rows already centered, given their squared norms."""
+    d2 = a_norms[:, None] + b_norms[None, :] - 2.0 * a @ b.T
     return np.sqrt(np.maximum(d2, 0.0))

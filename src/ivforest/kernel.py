@@ -23,12 +23,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, EmptySampleError
 from .frame import IntervalFrame
-from .intervals import PredictionSet, hyper_distance
+from .intervals import PredictionSet, centered_distance, hyper_distance
 
 KERNELS = ("gaussian", "epanechnikov", "triangular", "uniform")
 
@@ -175,12 +176,19 @@ def predict_kernel_frame(fit: KernelFit, frame: IntervalFrame) -> PredictionSet:
 def _pair_bits(feats: np.ndarray):
     """Bit patterns, as int64, of the distances of every row pair i < j, one row block at a time.
 
-    Adding 0.0 turns a -0.0 into 0.0, so that the distances order like their bits.
+    A block of rows is measured against only the rows after its first. The rows are centered
+    on the mean of all of them, and their squared norms taken, once per pass, as
+    ``hyper_distance(feats[block], feats)`` would, so the distances carry its bytes. Adding
+    0.0 turns a -0.0 into 0.0, so that the distances order like their bits.
     """
     n = feats.shape[0]
     step = _block_rows(n)
+    centered = feats - feats.mean(axis=0)
+    norms = np.sum(centered**2, axis=1)
     for start in range(0, n - 1, step):
-        d = hyper_distance(feats[start:start + step], feats)[:, start + 1:]
+        block = slice(start, start + step)
+        d = centered_distance(centered[block], norms[block], centered[start + 1:],
+                              norms[start + 1:])
         later = np.arange(start + 1, n) > np.arange(start, start + d.shape[0])[:, None]
         yield (d[later] + 0.0).view(np.int64)
 
@@ -327,6 +335,11 @@ def kernel_from_doc(doc: dict) -> KernelFit:
     if not (x.ndim == 2 and x.shape[1] == 2 * len(doc["predictors"])
             and yc.shape == yr.shape == x.shape[:1]):
         raise ConfigError("'training' must hold one row of 2p features and one response per row")
+    # numpy parses "0.5" and reads true as 1.0; the shapes above make each row a list
+    for key, values in (("features", chain.from_iterable(tr["features"])),
+                        ("y_center", tr["y_center"]), ("y_radius", tr["y_radius"])):
+        if not set(map(type, values)) <= {int, float}:
+            raise ConfigError(f"'training' {key!r} must hold JSON numbers")
     if not all(np.all(np.isfinite(a)) for a in (x, yc, yr)):
         raise ConfigError("'training' must hold finite numbers")
     return KernelFit(tuple(doc["predictors"]), x, yc, yr, float(doc["bandwidth"]), doc["kernel"])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, IvforestError
 from .forest import (ForestFit, ForestParams, fit_forest, forest_from_doc, forest_to_json,
-                     predict_forest_frame, predict_forest_rows)
+                     predict_forest_frame, predict_forest_rows, read_tree_arrays)
 from .frame import IntervalFrame
 from .intervals import PredictionSet
 from .kernel import (KernelFit, check_bandwidth, fit_kernel, kernel_from_doc, kernel_to_json,
@@ -113,7 +113,7 @@ def model_from_json(text, source: str = "<string>", kinds: tuple[str, ...] = MOD
     ``source`` and the missing or bad key.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=read_tree_arrays)  # forest trees as arrays
     except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8, or deep nesting
         raise ConfigError(f"{source}: not a JSON model file: {exc}") from None
     if not isinstance(doc, dict):

@@ -206,6 +206,18 @@ def set_item(*path_and_value):
     return edit
 
 
+def quoted_response_boolean_feature(doc):
+    training = doc["training"]
+    training["y_center"][0] = str(training["y_center"][0])
+    training["features"][1][0] = True
+
+
+def quoted_threshold_boolean_value(doc):
+    tree = doc["center_trees"][0]
+    tree["threshold"][0] = str(tree["threshold"][0])
+    tree["value"][-1] = True
+
+
 def cyclic_root(doc):
     tree = doc["center_trees"][0]
     tree["feature"][0], tree["left"][0], tree["right"][0] = 0, 0, 0
@@ -298,6 +310,12 @@ FAULTS = {
     "ke file with a nan training response": (
         lambda t: edited_model(t, "ke", set_item("training", "y_center", 0, float("nan"))), {}, 2,
         "'training'"),
+    "ke file with a quoted response and a boolean feature": (
+        lambda t: edited_model(t, "ke", quoted_response_boolean_feature), {}, 2,
+        "'training' 'features' must hold JSON numbers"),
+    "rf file with a quoted threshold and a boolean leaf value": (
+        lambda t: edited_model(t, "rf", quoted_threshold_boolean_value), {}, 2,
+        "center_trees[0]: 'threshold' must be a list of numbers"),
     "model file nested 200 000 deep": (model_text("[" * 200_000), {}, 2, "m.json"),
     "rf file with a child index of 1e30": (
         lambda t: edited_model(t, "rf", set_item("center_trees", 0, "left", 0, 1e30)), {}, 2,

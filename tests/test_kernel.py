@@ -7,7 +7,7 @@ import pytest
 import ivforest.kernel as kernel_module
 from ivforest.errors import ConfigError, DimensionError, EmptySampleError
 from ivforest.frame import IntervalFrame, SplitSpec, split
-from ivforest.intervals import hyper_distance
+from ivforest.intervals import centered_distance, hyper_distance
 from ivforest.kernel import (
     KERNELS,
     KernelFit,
@@ -266,19 +266,30 @@ class TestBandwidth:
             select_bandwidth(train, "gaussian")
 
     def test_search_builds_distances_one_block_at_a_time(self, monkeypatch):
-        shapes = []
+        """The LOO blocks measure against all n rows, the median's against the rows after the
+        block's first: every block has at most ``_block_rows(n)`` rows against at most n."""
+        shapes = {"loo": [], "median": []}
 
-        def recorded(a, b):
-            shapes.append((a.shape, b.shape))
+        def loo(a, b):
+            shapes["loo"].append((a.shape, b.shape))
             return hyper_distance(a, b)
 
-        monkeypatch.setattr(kernel_module, "hyper_distance", recorded)
+        def median(a, a_norms, b, b_norms):
+            shapes["median"].append((a.shape, b.shape))
+            return centered_distance(a, a_norms, b, b_norms)
+
+        monkeypatch.setattr(kernel_module, "hyper_distance", loo)
+        monkeypatch.setattr(kernel_module, "centered_distance", median)
         train = simulate(SimSetting(5, 2000, 3))
         h = select_bandwidth(train, "gaussian")
         rows = kernel_module._block_rows(train.n)
         assert rows < train.n
-        assert len(shapes) > train.n // rows
-        assert all(a[0] <= rows and b == (train.n, 2) for a, b in shapes)
+        for calls in shapes.values():
+            assert len(calls) > train.n // rows
+            assert all(a[0] <= rows and b[0] <= train.n and a[1] == b[1] == 2 for a, b in calls)
+        assert all(b == (train.n, 2) for _, b in shapes["loo"])
+        # the median's blocks skip the columns at or left of the diagonal
+        assert [b[0] for _, b in shapes["median"][:2]] == [train.n - 1, train.n - 1 - rows]
         monkeypatch.undo()
         assert h in whole_matrix_grid(train.features())
 

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ivforest.errors import ConfigError
-from ivforest.frame import SplitSpec, split
+from ivforest.frame import IntervalFrame, SplitSpec, split
 from ivforest.models import (MODELS, fit_model, model_from_json, model_to_json, predict_features,
                              predict_model)
 from ivforest.simulate import SimSetting, simulate
@@ -143,6 +145,11 @@ TREE_FAULTS = {
     "infinite threshold": (_set("threshold", 0, float("inf")), "'threshold' must be finite"),
     "nan leaf value": (_set("value", -1, float("nan")), "'value' must be finite"),
     "word as a leaf value": (_set("value", -1, "abc"), "'value' must be a list of numbers"),
+    "quoted threshold": (_set("threshold", 0, "0.5"), "'threshold' must be a list of numbers"),
+    "boolean threshold": (_set("threshold", 0, True), "'threshold' must be a list of numbers"),
+    "quoted leaf value": (_set("value", -1, "1.5"), "'value' must be a list of numbers"),
+    "boolean leaf value": (_set("value", -1, True), "'value' must be a list of numbers"),
+    "null leaf value": (_set("value", -1, None), "'value' must be a list of numbers"),
     "thresholds not a list": (lambda tree: tree.update(threshold="0.5"),
                               "'threshold' must be a list of numbers"),
     "no bootstrap": (lambda tree: tree.pop("bootstrap"), "no key 'bootstrap'"),
@@ -165,6 +172,29 @@ def test_forest_tree_faults_rejected_at_load(forest_text, case):
     with pytest.raises(ConfigError, match=r"^rf.json: .*radius_trees\[1\]") as info:
         model_from_json(json.dumps(doc), "rf.json")
     assert named in str(info.value)
+
+
+def _quote(items, index):
+    items[index] = str(items[index])
+
+
+KE_FAULTS = {
+    "quoted response center": (lambda tr: _quote(tr["y_center"], 0), "'y_center'"),
+    "quoted response radius": (lambda tr: _quote(tr["y_radius"], 3), "'y_radius'"),
+    "quoted feature": (lambda tr: _quote(tr["features"][2], 1), "'features'"),
+    "boolean feature": (lambda tr: tr["features"][1].__setitem__(0, True), "'features'"),
+    "boolean response": (lambda tr: tr["y_radius"].__setitem__(-1, False), "'y_radius'"),
+}
+
+
+@pytest.mark.parametrize("case", list(KE_FAULTS))
+def test_kernel_training_faults_rejected_at_load(train_test, case):
+    """numpy would read "0.5" as 0.5 and true as 1.0; the file must hold JSON numbers."""
+    edit, named = KE_FAULTS[case]
+    doc = json.loads(model_to_json(fit_model("ke", train_test[0], bandwidth=0.5)))
+    edit(doc["training"])
+    with pytest.raises(ConfigError, match=rf"^ke.json: .*'training' {named} must hold JSON numbers"):
+        model_from_json(json.dumps(doc), "ke.json")
 
 
 def test_forest_with_nan_oob_loads(forest_text):
@@ -218,3 +248,41 @@ def test_forest_of_paper_size_round_trips_and_names_the_lowest_faulty_tree():
         with pytest.raises(ConfigError, match=rf"^rf.json: .*center_trees\[{low}\]: ") as info:
             model_from_json(json.dumps(doc), "rf.json")
         assert named in str(info.value)
+
+
+def _traced_peak(call, *args):
+    """``call(*args)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _tree_bytes(fit):
+    return [getattr(t, key).tobytes() for trees in (fit.center_trees, fit.radius_trees)
+            for t in trees for key in ("feature", "threshold", "value", "bootstrap")]
+
+
+def test_model_file_memory_stays_a_small_multiple_of_the_file():
+    """The writer makes one tree's text at a time and the reader turns each tree's lists into
+    arrays as it parses the tree, so neither holds the whole document as Python lists. On the
+    shape of the command-line benchmark's forest (setting 5, 1600 rows, centers moved by 1e4),
+    with 200 trees, each traced peak stays below 4x the file; building the whole document as
+    lists took 6.3-7.2x."""
+    drawn = simulate(SimSetting(5, 1600, 1))
+    train = IntervalFrame(drawn.predictor_names, drawn.x_center + 1e4, drawn.x_radius,
+                          drawn.y_center + 1e4, drawn.y_radius, drawn.response_name)
+    fit = fit_model("rf", train, seed=1, n_trees=200)
+    text, write_peak = _traced_peak(model_to_json, fit)
+    data = text.encode()
+    again, read_peak = _traced_peak(model_from_json, data, "rf.json")
+    assert write_peak < 4 * len(data)
+    assert read_peak < 4 * len(data)
+    assert _tree_bytes(again) == _tree_bytes(fit)
+    # a file with whitespace between its tokens loads to the same trees
+    golden = (Path(__file__).resolve().parent / "golden" / "fit_rf.json").read_text()
+    spaced = json.dumps(json.loads(golden), indent=2)
+    assert spaced != golden
+    assert _tree_bytes(model_from_json(spaced)) == _tree_bytes(model_from_json(golden))
