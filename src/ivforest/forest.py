@@ -17,33 +17,35 @@ rows, each weighted by how many times it was drawn (as scikit-learn's
 forests pass bootstrap counts as sample weights, and ranger keeps in-bag
 counts: Wright & Ziegler, JSS 77(1), 2017). Node counts and ``min_node``
 still count every draw, and leaf means sum every draw in draw order, so
-the trees are those grown on the draws themselves. A tree keeps only what
-growth decides, its split features, thresholds, leaf values and bootstrap;
-``_children`` derives its child indices, and node counts live only in growth.
+the trees are those grown on the draws themselves. An ``Ensemble`` holds
+what growth decides, split features, thresholds, leaf values and bootstraps,
+laid end to end in tree order. Growth and the model-file reader build it,
+and it derives child indices (``_children``) and all else that prediction
+reads once. A ``Tree`` is a view of one tree, for tests and checks.
 
 Prediction and out-of-bag errors sum leaf values through ``_tree_sums``,
-one tree at a time in tree order. It packs the ensemble once and hands
-``_sums`` a per-tree mask: trees of at most 64 leaves find their leaves by
-leaf bitvectors (QuickScorer: Lucchese et al., SIGIR 2015; Dato et al., ACM
-TOIS 35(2), 2016) when there are more rows than those trees have distinct
-(feature, threshold) pairs, and every other tree is walked. One loop over
-blocks of (tree, row) pairs serves both paths, which give the same bytes.
-A tree's leaves are numbered left to right from its subtrees' leaf counts.
+one tree at a time in tree order. It hands ``_sums`` a per-tree mask: trees
+of at most 64 leaves find their leaves by leaf bitvectors (QuickScorer:
+Lucchese et al., SIGIR 2015; Dato et al., ACM TOIS 35(2), 2016) when there
+are more rows than those trees have distinct (feature, threshold) pairs, and
+every other tree is walked. One loop over blocks of (tree, row) pairs serves
+both paths, which give the same bytes. A tree's leaves are numbered left to
+right from its subtrees' leaf counts.
 
 Model files hold trees numbered as ``grow_trees`` numbers them, and no other,
 as compact JSON. Trees are written and read one at a time: the writer encodes
 each tree's object on its own, and the reader turns each tree's lists into
 arrays as the parser closes the tree, so neither holds a file's trees as
 Python lists, and each peaks at about 3x the file. Checks still run over each
-ensemble at once, on every array key's arrays laid end to end; a file with
-several faulty trees names the lowest tree that any check rejects.
+ensemble at once, on every array key's arrays laid end to end, which then
+make the ensemble; a file with several faulty trees names the lowest tree
+that any check rejects.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -94,7 +96,7 @@ class ForestParams:
 
 @dataclass
 class Tree:
-    """Flattened binary regression tree plus its bootstrap row indices.
+    """One tree of an ``Ensemble``, as views of its arrays, plus its bootstrap row indices.
 
     Nodes are numbered level by level: the k-th split node's children are
     2k + 1 and 2k + 2, so children are derived from ``feature``.
@@ -117,6 +119,51 @@ class Tree:
     @property
     def n_leaves(self) -> int:
         return int(np.sum(self.feature < 0))
+
+
+class Ensemble:
+    """An ensemble's trees laid end to end in tree order, from their node arrays, node counts,
+    bootstraps and draw counts, and what prediction derives from them, once."""
+
+    def __init__(self, feature, threshold, value, n_nodes, bootstrap, n_draws):
+        self.feature, self.threshold, self.value = feature, threshold, value
+        self.bootstrap, self.n_trees = bootstrap, len(n_nodes)
+        self.n_nodes, self.n_draws = np.asarray(n_nodes), np.asarray(n_draws)
+        # tree t holds nodes bounds[t] up to bounds[t + 1], and draws draw_bounds[t] up to
+        # draw_bounds[t + 1] of the bootstrap
+        self.bounds = np.cumsum(np.append(0, n_nodes))
+        self.draw_bounds = np.cumsum(np.append(0, n_draws))
+        self.tree_of = np.repeat(np.arange(self.n_trees), n_nodes)
+        # an index into the ensemble: _children's, moved by its tree's start
+        left = _children(feature, self.bounds[:-1])
+        self.left = np.where(left >= 0, left + self.bounds[self.tree_of], -1)
+        # per tree, whether it has at most 64 leaves: a tree of n nodes has (n + 1) / 2 leaves
+        self.word = self.n_nodes < 2 * _WORD_BITS
+        split = np.flatnonzero((feature >= 0) & self.word[self.tree_of])
+        split = split[np.argsort(threshold[split])]
+        split = split[np.argsort(feature[split], kind="stable")]  # by feature, then threshold
+        f, thr = feature[split], threshold[split]
+        new = np.ones(split.size, dtype=bool)
+        new[1:] = (f[1:] != f[:-1]) | (thr[1:] != thr[:-1])
+        # the word trees' distinct (feature, threshold) pairs, sorted, and each of their split
+        # nodes' pair; -1 at other nodes
+        self.pair_feature, self.pair_threshold = f[new], thr[new]
+        self.pair = np.full(feature.size, -1, dtype=np.int64)
+        self.pair[split] = np.cumsum(new) - 1
+
+    @classmethod
+    def join(cls, parts: list[Ensemble]) -> Ensemble:
+        """The trees of ``parts``, in order; a single part is returned as it is."""
+        if len(parts) == 1:
+            return parts[0]
+        keys = ("feature", "threshold", "value", "n_nodes", "bootstrap", "n_draws")
+        return cls(*(np.concatenate([getattr(p, k) for p in parts]) for k in keys))
+
+    @property
+    def trees(self) -> list[Tree]:
+        """Each tree, its arrays views of this ensemble's."""
+        nodes = (np.split(a, self.bounds[1:-1]) for a in (self.feature, self.threshold, self.value))
+        return list(map(Tree, *nodes, np.split(self.bootstrap, self.draw_bounds[1:-1])))
 
 
 # A tree's arrays in a model file, each with the dtype it is read as. Files
@@ -214,7 +261,7 @@ def grow_trees(
     bootstraps: list[np.ndarray],
     rngs: list[np.random.Generator],
     params: ForestParams,
-) -> list[Tree]:
+) -> Ensemble:
     """Grow one tree per (bootstrap, generator) pair, all of them level by level.
 
     A sample is a tree's distinct bootstrap row, weighted by how many times
@@ -232,7 +279,7 @@ def grow_trees(
     level each draw goes to its sample's leaf, and one ``bincount`` adds the
     draws' responses in draw order. A tree's nodes come level by level, each
     level's in its parents' order, which is the numbering ``_children``
-    derives; node counts are not kept.
+    derives; node counts are not kept. The trees come as one ``Ensemble``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -307,10 +354,8 @@ def grow_trees(
     value = sums / count  # no draw ends at a split node, so its value is 0
     # within a tree, levels and the nodes of a level come in id order
     by_tree = np.argsort(level_tree, kind="stable")
-    ends = np.cumsum(np.bincount(level_tree))[:-1]  # every tree has a root
-    parts = (np.split(a[by_tree], ends) for a in (feature, threshold, value))
-    return [Tree(f, t, v, np.asarray(boot, dtype=np.int64))
-            for f, t, v, boot in zip(*parts, bootstraps)]
+    return Ensemble(feature[by_tree], threshold[by_tree], value[by_tree], np.bincount(level_tree),
+                    draws, [b.size for b in bootstraps])
 
 
 def _draw_candidates(
@@ -334,9 +379,12 @@ class ForestFit:
     feature_names: tuple[str, ...]
     predictor_names: tuple[str, ...]
     params: ForestParams
-    center_trees: list[Tree]
-    radius_trees: list[Tree]
+    center: Ensemble
+    radius: Ensemble
     oob: dict = field(default_factory=dict)
+    # each ensemble's trees, as views of its arrays
+    center_trees = property(lambda self: self.center.trees)
+    radius_trees = property(lambda self: self.radius.trees)
 
 
 def fit_forest(train: IntervalFrame, params: ForestParams | None = None) -> ForestFit:
@@ -349,8 +397,8 @@ def fit_forest(train: IntervalFrame, params: ForestParams | None = None) -> Fore
     n = train.n
     params.resolved_mtry(X.shape[1])  # validate early
 
-    def ensemble(component: str, y: np.ndarray) -> list[Tree]:
-        trees = []
+    def ensemble(component: str, y: np.ndarray) -> Ensemble:
+        parts = []
         per_chunk = max(1, _CHUNK_SAMPLES // n)
         for start in range(0, params.n_trees, per_chunk):
             rngs = [
@@ -358,8 +406,8 @@ def fit_forest(train: IntervalFrame, params: ForestParams | None = None) -> Fore
                 for t in range(start, min(start + per_chunk, params.n_trees))
             ]
             boots = [rng.integers(0, n, n) for rng in rngs]  # each tree's bootstrap comes first
-            trees += grow_trees(X, y, boots, rngs, params)
-        return trees
+            parts.append(grow_trees(X, y, boots, rngs, params))
+        return Ensemble.join(parts)
 
     fit = ForestFit(train.feature_names(), train.predictor_names, params,
                     ensemble("center", train.y_center), ensemble("radius", train.y_radius))
@@ -367,47 +415,8 @@ def fit_forest(train: IntervalFrame, params: ForestParams | None = None) -> Fore
     return fit
 
 
-class _Nodes(NamedTuple):
-    """An ensemble's node arrays, concatenated in tree order, and its word trees' distinct
-    thresholds."""
-
-    trees: list[Tree]
-    bounds: np.ndarray  # tree t holds nodes bounds[t] up to bounds[t + 1]
-    tree_of: np.ndarray
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray  # an index into the concatenation: _children's, moved by its tree's start
-    value: np.ndarray
-    word: np.ndarray  # per tree, whether it has at most 64 leaves
-    pair_feature: np.ndarray  # the word trees' distinct (feature, threshold) pairs, sorted
-    pair_threshold: np.ndarray
-    pair: np.ndarray  # each word tree split node's pair, -1 at other nodes
-
-
-def _pack(trees: list[Tree]) -> _Nodes:
-    sizes = [t.feature.size for t in trees]
-    bounds = np.cumsum([0] + sizes)
-    tree_of = np.repeat(np.arange(len(trees)), sizes)
-    feature, threshold, value = (np.concatenate([getattr(t, key) for t in trees])
-                                 for key in ("feature", "threshold", "value"))
-    # a tree of n nodes has (n + 1) / 2 leaves, so one of at most 127 nodes has at most 64
-    word = np.array(sizes) < 2 * _WORD_BITS
-    split = np.flatnonzero((feature >= 0) & word[tree_of])
-    split = split[np.argsort(threshold[split])]
-    split = split[np.argsort(feature[split], kind="stable")]  # by feature, then threshold
-    f, thr = feature[split], threshold[split]
-    new = np.ones(split.size, dtype=bool)
-    new[1:] = (f[1:] != f[:-1]) | (thr[1:] != thr[:-1])
-    pair = np.full(feature.size, -1, dtype=np.int64)
-    pair[split] = np.cumsum(new) - 1
-    left = _children(feature, bounds[:-1])
-    left = np.where(left >= 0, left + bounds[tree_of], -1)
-    return _Nodes(trees, bounds, tree_of, feature, threshold, left, value, word, f[new], thr[new],
-                  pair)
-
-
 def _tree_sums(
-    trees: list[Tree], X: np.ndarray, out_of_bag: bool = False
+    ens: Ensemble, X: np.ndarray, out_of_bag: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``X``, its leaf values summed in tree order and how many trees counted it.
 
@@ -419,18 +428,18 @@ def _tree_sums(
     and pair, so they pay for themselves only over more rows than pairs, and trees of more
     leaves would need several words each.
     """
-    nodes = _pack(trees)
-    return _sums(nodes, X, nodes.word & (X.shape[0] > nodes.pair_threshold.size), out_of_bag)
+    return _sums(ens, X, ens.word & (X.shape[0] > ens.pair_threshold.size), out_of_bag)
 
 
 def _sums(
-    nodes: _Nodes, X: np.ndarray, bits: np.ndarray, out_of_bag: bool = False
+    ens: Ensemble, X: np.ndarray, bits: np.ndarray, out_of_bag: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_tree_sums`` with tree t on leaf bitvectors where ``bits[t]`` and walked elsewhere;
     a tree in ``bits`` must have at most 64 leaves.
 
-    Blocks of about ``_CHUNK_SAMPLES`` (tree, row) pairs find their leaves, and each block's
-    rows are then added one tree at a time in tree order.
+    Blocks of about ``_CHUNK_SAMPLES`` (tree, row) pairs find their leaves. A reduction adds the
+    running total and the block's trees' leaf values a row at a time, in tree order; over one
+    column it would add pairwise, so a single row of ``X`` goes as two.
 
     - The walk: a pair steps from split node ``i`` to ``left[i] + (x > threshold[i])``, its
       right child when ``x > threshold[i]``. A block whose trees all take bitvectors skips it.
@@ -446,65 +455,63 @@ def _sums(
       built for about ``_TABLE_WORDS`` words of trees at a time, or one block's trees if those
       take more, when a block first needs them.
     """
+    rows = X.shape[0]
+    X = np.repeat(X, 2, axis=0) if rows == 1 else X
     n, m = X.shape
-    n_trees = len(nodes.trees)
     rank = np.cumsum(bits) - bits  # of each tree among the trees in bits
     one = np.uint64(1)
     if bits.any():
-        first = _first_leaves(nodes, nodes.bounds[np.flatnonzero(bits)])
+        first = _first_leaves(ens, ens.bounds[np.flatnonzero(bits)])
         in_bits = first >= 0  # the nodes of the trees in bits
-        split = np.flatnonzero(in_bits & (nodes.feature >= 0))
-        leaf = np.flatnonzero(in_bits & (nodes.feature < 0))
+        split = np.flatnonzero(in_bits & (ens.feature >= 0))
+        leaf = np.flatnonzero(in_bits & (ens.feature < 0))
         # split node s clears leaves first[s] up to first[right child], its left subtree
-        mask = ~((one << first[nodes.left[split] + 1].astype(np.uint64))
+        mask = ~((one << first[ens.left[split] + 1].astype(np.uint64))
                  - (one << first[split].astype(np.uint64)))
         # feature f's columns are starts[f] + f, no threshold below x, up to starts[f + 1] + f
-        starts = np.searchsorted(nodes.pair_feature, np.arange(m + 1))
-        split_rank = rank[nodes.tree_of[split]]
-        split_column = nodes.pair[split] + nodes.feature[split] + 1
+        starts = np.searchsorted(ens.pair_feature, np.arange(m + 1))
+        split_rank = rank[ens.tree_of[split]]
+        split_column = ens.pair[split] + ens.feature[split] + 1
         spans, columns = [], []
-        for f in np.unique(nodes.pair_feature).tolist():
+        for f in np.unique(ens.pair_feature).tolist():
             a, b = starts[f] + f, starts[f + 1] + f + 1
             spans.append(slice(a, b))
-            below = np.searchsorted(nodes.pair_threshold[starts[f] : starts[f + 1]], X[:, f],
+            below = np.searchsorted(ens.pair_threshold[starts[f] : starts[f + 1]], X[:, f],
                                     "left")
             columns.append(a + np.where(np.isnan(X[:, f]), 0, below))  # nan > threshold is false
         # the k-th leaf from the left of the tree of rank t at t * 64 + k
         n_words = int(bits.sum())
         leaf_value = np.zeros(n_words * _WORD_BITS)
-        leaf_value[rank[nodes.tree_of[leaf]] * _WORD_BITS + first[leaf]] = nodes.value[leaf]
-        width = nodes.pair_threshold.size + m
+        leaf_value[rank[ens.tree_of[leaf]] * _WORD_BITS + first[leaf]] = ens.value[leaf]
+        width = ens.pair_threshold.size + m
         first_rank, table = 0, np.empty((0, width), dtype=np.uint64)  # the current group's
     Xt = X.T.ravel()  # X[r, f] is Xt[f * n + r]
+    inner = ens.feature >= 0
+    # pair b * n + r of tree start + b and row r finds X[r, f] at pair + offset + start * n in Xt
+    offset = (ens.feature - ens.tree_of) * n
     total = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
     per_block = max(1, _CHUNK_SAMPLES // max(1, n))
-    for start in range(0, n_trees, per_block):
-        stop = min(start + per_block, n_trees)
-        counted = np.ones((stop - start, n), dtype=bool)
+    for start in range(0, ens.n_trees, per_block):
+        stop = min(start + per_block, ens.n_trees)
+        block = np.empty((stop - start + 1, n))
+        block[0] = total
+        values = block[1:]  # tree start + b's leaf values in row b
+        counted = np.ones(block.shape, dtype=bool)
         if out_of_bag:
-            for i, tree in enumerate(nodes.trees[start:stop]):
-                counted[i, tree.bootstrap] = False
+            draws = ens.draw_bounds[start : stop + 1]
+            row = np.repeat(np.arange(1, stop - start + 1), np.diff(draws))  # each draw's tree
+            counted[row, ens.bootstrap[draws[0] : draws[-1]]] = False
         word = bits[start:stop]
-        if word.all():
-            values = np.empty((stop - start, n))
-        else:
-            lo, hi = nodes.bounds[start], nodes.bounds[stop]
-            feature, threshold, value = (
-                a[lo:hi] for a in (nodes.feature, nodes.threshold, nodes.value)
-            )
-            left = nodes.left[lo:hi] - lo
-            inner = feature >= 0
-            # pair b * n + r of tree start + b and row r finds X[r, f] at pair + (f - b) * n in Xt
-            offset = (feature - (nodes.tree_of[lo:hi] - start)) * n
-            node = np.repeat(nodes.bounds[start:stop] - lo, n)  # each pair starts at its root
-            active = np.flatnonzero((counted & ~word[:, None]).ravel() & inner[node])
+        if not word.all():
+            node = np.repeat(ens.bounds[start:stop], n)  # each pair starts at its root
+            active = np.flatnonzero((counted[1:] & ~word[:, None]).ravel() & inner[node])
             while active.size:
                 at = node[active]
-                step = left[at] + (Xt[offset[at] + active] > threshold[at])
+                step = ens.left[at] + (Xt[offset[at] + start * n + active] > ens.threshold[at])
                 node[active] = step
                 active = active[inner[step]]
-            values = value[node].reshape(stop - start, n)
+            values[:] = ens.value[node].reshape(values.shape)
         if word.any():
             r0, r1 = rank[start], rank[start] + word.sum()  # the ranks of the block's trees in bits
             if r1 > first_rank + len(table):
@@ -520,13 +527,12 @@ def _sums(
             # words ^ (words - 1) holds the lowest set bit and the bits below it
             values[word] = leaf_value[_WORD_BITS * np.arange(r0, r1)[:, None] - 1
                                       + np.bitwise_count(words ^ (words - one))]
-        for row, kept in zip(values, counted):
-            np.add(total, row, out=total, where=kept)
-            counts += kept
-    return total, counts
+        np.add.reduce(block, axis=0, out=total, where=counted, initial=0.0)
+        counts += counted[1:].sum(axis=0)
+    return total[:rows], counts[:rows]
 
 
-def _first_leaves(nodes: _Nodes, roots: np.ndarray) -> np.ndarray:
+def _first_leaves(ens: Ensemble, roots: np.ndarray) -> np.ndarray:
     """Per node of the trees with the given roots, the place among its tree's leaves, left to
     right, of its subtree's leftmost leaf; -1 at the nodes of other trees. The trees must have
     at most 64 leaves.
@@ -535,7 +541,7 @@ def _first_leaves(nodes: _Nodes, roots: np.ndarray) -> np.ndarray:
     bottom up, then numbering top down, gives a left child its parent's first leaf and a right
     child that place plus its sibling's leaf count.
     """
-    feature, left = nodes.feature, nodes.left
+    feature, left = ens.feature, ens.left
     leaves = (feature < 0).astype(np.int64)
     levels, level = [], roots
     while level.size:
@@ -559,8 +565,8 @@ def predict_forest_rows(fit: ForestFit, queries: np.ndarray) -> PredictionSet:
         raise DimensionError(
             f"model has {len(fit.feature_names)} features, queries have {queries.shape[1]}"
         )
-    centers = np.divide(*_tree_sums(fit.center_trees, queries))
-    radii = np.divide(*_tree_sums(fit.radius_trees, queries))
+    centers = np.divide(*_tree_sums(fit.center, queries))
+    radii = np.divide(*_tree_sums(fit.radius, queries))
     return PredictionSet(centers, radii, radii < 0.0)
 
 
@@ -577,15 +583,13 @@ def oob_error(fit: ForestFit, train: IntervalFrame) -> dict:
     X = train.features()
     n = train.n
     out: dict = {}
-    for component, trees, y in (
-        ("center", fit.center_trees, train.y_center),
-        ("radius", fit.radius_trees, train.y_radius),
-    ):
-        acc, hits = _tree_sums(trees, X, out_of_bag=True)
+    for component, ens, y in (("center", fit.center, train.y_center),
+                              ("radius", fit.radius, train.y_radius)):
+        acc, hits = _tree_sums(ens, X, out_of_bag=True)
         used = hits > 0
         if not used.any():
             raise OOBUnavailableError(
-                f"every row was in-bag for all {len(trees)} {component} trees"
+                f"every row was in-bag for all {ens.n_trees} {component} trees"
             )
         pred = acc[used] / hits[used]
         resid = pred - y[used]
@@ -614,8 +618,8 @@ def forest_to_json(fit: ForestFit) -> str:
         "predictors": list(fit.predictor_names),
         "params": asdict(fit.params),
         "oob": fit.oob,
-        "center_trees": fit.center_trees,
-        "radius_trees": fit.radius_trees,
+        "center_trees": fit.center,
+        "radius_trees": fit.radius,
     }
     pieces = []
     for key, value in sorted(doc.items()):
@@ -626,21 +630,19 @@ def forest_to_json(fit: ForestFit) -> str:
     return "".join(pieces)
 
 
-def _tree_texts(trees: list[Tree], encode):
-    """An ensemble's JSON array in pieces: each tree's model-file object, encoded on its own,
-    with ``[``, ``,`` and ``]`` around them. Child indices are derived once for all trees."""
-    sizes = [t.feature.size for t in trees]
-    bounds = np.cumsum([0] + sizes).tolist()
-    feature = np.concatenate([t.feature for t in trees])
-    left = _children(feature, bounds[:-1])
-    nodes = {"feature": feature, "left": left, "right": np.where(left >= 0, left + 1, -1),
-             **{key: np.concatenate([getattr(t, key) for t in trees])
-                for key in ("threshold", "value")}}
+def _tree_texts(ens: Ensemble, encode):
+    """An ensemble's JSON array in pieces: each tree's model-file object, encoded on its own from
+    slices of the ensemble's arrays, with ``[``, ``,`` and ``]`` around them."""
+    left = _children(ens.feature, ens.bounds[:-1])
+    nodes = {"feature": ens.feature, "left": left, "right": np.where(left >= 0, left + 1, -1),
+             "threshold": ens.threshold, "value": ens.value}
+    bounds, draws = ens.bounds.tolist(), ens.draw_bounds.tolist()
     yield "["
-    for i, (t, a, b) in enumerate(zip(trees, bounds, bounds[1:])):
-        if i:
+    for t in range(ens.n_trees):
+        if t:
             yield ","
-        yield encode({"bootstrap": t.bootstrap.tolist(),
+        a, b = bounds[t], bounds[t + 1]
+        yield encode({"bootstrap": ens.bootstrap[draws[t] : draws[t + 1]].tolist(),
                       **{key: v[a:b].tolist() for key, v in nodes.items()}})
     yield "]"
 
@@ -652,13 +654,17 @@ def forest_from_json(text: str) -> ForestFit:
 
 
 def forest_from_doc(doc: dict) -> ForestFit:
-    feature_names = tuple(doc["feature_names"])
-    if len(feature_names) != 2 * len(doc["predictors"]):
-        raise ConfigError("'feature_names' must name a center and a radius per predictor")
+    from .models import json_value  # models imports this module
+
+    # a center and a radius per predictor
+    feature_names = tuple(json_value(doc, "feature_names", str, (2 * len(doc["predictors"]),)))
+    params = doc["params"]  # every field, each a JSON integer; a key of no field is rejected
+    keys = {f.name for f in fields(ForestParams)} | set(params)
     return ForestFit(
         feature_names,
         tuple(doc["predictors"]),
-        ForestParams(**doc["params"]),
+        ForestParams(**{k: json_value(params, k, int, name=f"'params' {k!r}",
+                                      null=k in ("mtry", "max_depth")) for k in keys}),
         _trees_from(doc, "center_trees", len(feature_names)),
         _trees_from(doc, "radius_trees", len(feature_names)),
         doc.get("oob", {}),
@@ -711,9 +717,9 @@ def read_tree_arrays(obj: dict) -> dict:
     return obj
 
 
-def _trees_from(doc: dict, key: str, n_features: int) -> list[Tree]:
-    """Ensemble ``key`` of a model file, its trees' arrays read by ``read_tree_arrays`` and
-    checked for all trees at once.
+def _trees_from(doc: dict, key: str, n_features: int) -> Ensemble:
+    """Ensemble ``key``, taken out of ``doc``: its trees' arrays (``read_tree_arrays``) laid end
+    to end and checked for all trees at once, and each tree's own arrays then freed.
 
     A fault is a ConfigError naming the lowest tree that any check rejects and the first check
     that rejects it (``_Faults``). The checks, in order: each tree has every key; each key is
@@ -721,7 +727,7 @@ def _trees_from(doc: dict, key: str, n_features: int) -> list[Tree]:
     and a float key's list holds only JSON numbers; the node arrays are nonempty and of one
     length; then ``_tree_problems``, over each key's arrays laid end to end.
     """
-    docs = doc[key]
+    docs = doc.pop(key)
     if not docs:
         raise ConfigError(f"{key!r} holds no tree")
     docs = [read_tree_arrays(t) if isinstance(t, dict) else t for t in docs]
@@ -751,7 +757,8 @@ def _trees_from(doc: dict, key: str, n_features: int) -> list[Tree]:
     for bad, problem in _tree_problems(arrays, n, draws, n_features):
         faults.check(bad, problem)
     faults.raise_if_found()
-    return [Tree(t["feature"], t["threshold"], t["value"], t["bootstrap"]) for t in docs]
+    return Ensemble(arrays["feature"], arrays["threshold"], arrays["value"], n, arrays["bootstrap"],
+                    draws)
 
 
 def _tree_problems(arrays: dict, n_nodes: np.ndarray, n_draws: np.ndarray, n_features: int):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -328,18 +327,16 @@ def kernel_to_json(fit: KernelFit) -> str:
 
 
 def kernel_from_doc(doc: dict) -> KernelFit:
+    from .models import json_value  # models imports this module
+
     tr = doc["training"]
-    x = np.asarray(tr["features"], dtype=float)
-    yc = np.asarray(tr["y_center"], dtype=float)
-    yr = np.asarray(tr["y_radius"], dtype=float)
+    x, yc, yr = (np.array(json_value(tr, key, float, shape, f"'training' {key!r}"), dtype=float)
+                 for key, shape in (("features", (None, None)), ("y_center", (None,)),
+                                    ("y_radius", (None,))))
     if not (x.ndim == 2 and x.shape[1] == 2 * len(doc["predictors"])
             and yc.shape == yr.shape == x.shape[:1]):
         raise ConfigError("'training' must hold one row of 2p features and one response per row")
-    # numpy parses "0.5" and reads true as 1.0; the shapes above make each row a list
-    for key, values in (("features", chain.from_iterable(tr["features"])),
-                        ("y_center", tr["y_center"]), ("y_radius", tr["y_radius"])):
-        if not set(map(type, values)) <= {int, float}:
-            raise ConfigError(f"'training' {key!r} must hold JSON numbers")
     if not all(np.all(np.isfinite(a)) for a in (x, yc, yr)):
         raise ConfigError("'training' must hold finite numbers")
-    return KernelFit(tuple(doc["predictors"]), x, yc, yr, float(doc["bandwidth"]), doc["kernel"])
+    h = float(json_value(doc, "bandwidth", float))
+    return KernelFit(tuple(doc["predictors"]), x, yc, yr, h, json_value(doc, "kernel", str))

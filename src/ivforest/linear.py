@@ -224,19 +224,23 @@ def linear_to_json(fit: LinearFit) -> str:
 
 
 def linear_from_doc(doc: dict) -> LinearFit:
+    from .models import json_value  # models imports this module
+
     diag = doc["diagnostics"]
-    first, second = (np.asarray(c, dtype=float) for c in doc["coefficients"])
-    if not first.shape == second.shape == (len(doc["predictors"]) + 1,):
-        raise ConfigError("'coefficients' must be two lists of one number per predictor, plus one")
+    # an intercept and a slope per predictor, in each of the two equations
+    shape = (2, len(doc["predictors"]) + 1)
+    first, second = np.array(json_value(doc, "coefficients", float, shape), dtype=float)
     if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
         raise ConfigError("'coefficients' must be finite")
+    rss = json_value(diag, "rss", float, (2,), "'diagnostics' 'rss'")
     return LinearFit(
         doc["model"],
         tuple(doc["predictors"]),
         first,
         second,
-        float(diag["rss"][0]),
-        float(diag["rss"][1]),
-        tuple(diag["active_constraints"]),
-        bool(diag["rank_deficient"]),
+        float(rss[0]),
+        float(rss[1]),
+        tuple(json_value(diag, "active_constraints", int, (None,),
+                         "'diagnostics' 'active_constraints'")),
+        json_value(diag, "rank_deficient", bool, name="'diagnostics' 'rank_deficient'"),
     )

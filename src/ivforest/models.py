@@ -28,6 +28,40 @@ from .linear import (VARIANTS, LinearFit, fit_linear, linear_from_doc, linear_to
 MODELS = VARIANTS + ("ke", "rf")  # also the order results.csv sorts models by
 FORMAT_VERSION = 1
 
+# json_value's kinds: the Python types json.loads gives each, and how a message names one
+# value and several. json reads true as a bool, never an int, so no boolean passes as a number
+_JSON_KINDS = {int: ({int}, "a JSON integer", "JSON integers"),
+               float: ({int, float}, "a JSON number", "JSON numbers"),
+               bool: ({bool}, "true or false", "true or false"),
+               str: ({str}, "a string", "strings")}
+
+
+def json_value(doc: dict, key: str, kind: type, shape: tuple = (), name: str | None = None,
+               null: bool = False):
+    """``doc[key]`` as a model file's reader takes it, checked and returned as parsed.
+
+    ``kind`` is ``int`` for a JSON integer, ``float`` for any JSON number, ``bool`` for true or
+    false and ``str`` for a string; with ``null``, null is taken too. With ``shape``, a length
+    per level (None for any), the value is lists nested that deep, those of one level of one
+    length, holding such values. A missing key raises KeyError; any other mismatch raises a
+    ConfigError naming ``name``, by default the quoted key.
+    """
+    types, one, many = _JSON_KINDS[kind]
+    name = name or repr(key)
+    value = doc[key]
+    items = [value]
+    for length in shape:
+        lengths = {len(v) if type(v) is list else -1 for v in items}
+        if -1 in lengths or len(lengths | {length} - {None}) > 1:
+            sizes = [f"{n} " if n is not None else "" for n in shape]
+            raise ConfigError(f"{name} must be a list of {sizes[0]}"
+                              + "".join(f"lists of {n}" for n in sizes[1:]) + many)
+        items = [v for inner in items for v in inner]
+    if not all(type(v) in types or null and v is None for v in items):
+        raise ConfigError(f"{name} must hold {many}" if shape
+                          else f"{name} must be {one}{' or null' if null else ''}")
+    return value
+
 
 def model_names(names) -> tuple[str, ...]:
     """Lower-cased model names, each checked against :data:`MODELS` and listed once."""

@@ -1,9 +1,9 @@
-"""The split search that fitting runs, read off the root of a one-level tree, and the rows
-that reach each node of a grown tree."""
+"""The split search that fitting runs, read off the root of a one-level tree, the rows that
+reach each node of a grown tree, and the ensemble of trees made by hand."""
 
 import numpy as np
 
-from ivforest.forest import ForestParams, grow_trees
+from ivforest.forest import Ensemble, ForestParams, grow_trees
 
 
 def root_split(y, X, min_child=1):
@@ -18,7 +18,7 @@ def root_split(y, X, min_child=1):
     y = np.asarray(y, dtype=float)
     n, m = X.shape
     params = ForestParams(n_trees=1, mtry=m, min_node=min_child, max_depth=1)
-    tree = grow_trees(X, y, [np.arange(n)], [np.random.default_rng(0)], params)[0]
+    tree = grow_trees(X, y, [np.arange(n)], [np.random.default_rng(0)], params).trees[0]
     if tree.feature[0] < 0:
         return None
     feature, threshold = int(tree.feature[0]), float(tree.threshold[0])
@@ -46,3 +46,9 @@ def node_counts(tree, X):
     for node in np.flatnonzero(tree.feature >= 0)[::-1].tolist():
         count[node] = count[tree.left[node]] + count[tree.right[node]]
     return count
+
+
+def ensemble_of(trees):
+    """The ``Ensemble`` of ``trees``, in order."""
+    return Ensemble.join([Ensemble(t.feature, t.threshold, t.value, [t.feature.size], t.bootstrap,
+                                   [t.bootstrap.size]) for t in trees])

@@ -305,6 +305,12 @@ FAULTS = {
     "ccrm file with a nan coefficient": (
         lambda t: edited_model(t, "ccrm", set_item("coefficients", 0, 1, float("nan"))), {}, 2,
         "'coefficients'"),
+    "rf file with a boolean n_trees": (
+        lambda t: edited_model(t, "rf", set_item("params", "n_trees", True)), {}, 2,
+        "'params' 'n_trees' must be a JSON integer"),
+    "ccrm file with a quoted coefficient": (
+        lambda t: edited_model(t, "ccrm", set_item("coefficients", 0, 0, "8.3")), {}, 2,
+        "'coefficients' must hold JSON numbers"),
     "ke file with an infinite bandwidth": (
         lambda t: edited_model(t, "ke", set_item("bandwidth", float("inf"))), {}, 2, "bandwidth"),
     "ke file with a nan training response": (

@@ -11,9 +11,9 @@ from ivforest.errors import ConfigError, DimensionError, OOBUnavailableError, Un
 from ivforest.evaluate import evaluate_frame
 from ivforest.forest import (
     _CHUNK_SAMPLES,
+    Ensemble,
     ForestParams,
     Tree,
-    _pack,
     _sums,
     _tree_sums,
     fit_forest,
@@ -28,7 +28,7 @@ from ivforest.frame import IntervalFrame, SplitSpec, split
 from ivforest.models import model_from_json
 from ivforest.rng import stream
 from ivforest.simulate import SimSetting, simulate
-from splits import leaf_of, node_counts, root_split
+from splits import ensemble_of, leaf_of, node_counts, root_split
 
 
 def brute_force_split(rows, y, features, X, min_child=1, tol=1e-12):
@@ -124,7 +124,7 @@ class TestBestSplit:
 
 def grow_tree(bootstrap, y, X, params, rng):
     """One tree from the level-wise builder."""
-    return grow_trees(X, y, [np.asarray(bootstrap)], [rng], params)[0]
+    return grow_trees(X, y, [np.asarray(bootstrap)], [rng], params).trees[0]
 
 
 class TestGrowTree:
@@ -144,7 +144,7 @@ class TestGrowTree:
         assert tree.n_leaves == 2
         oracle = brute_force_split(np.arange(20), y, [0], X, min_child=5)
         assert math.isclose(tree.threshold[0], oracle[1], rel_tol=1e-12)
-        sums, counts = _tree_sums([tree], np.array([[-0.5], [0.5]]))
+        sums, counts = _tree_sums(ensemble_of([tree]), np.array([[-0.5], [0.5]]))
         np.testing.assert_allclose(sums / counts, [0.0, 1.0])
 
     def test_constant_response_single_leaf(self):
@@ -194,16 +194,17 @@ class TestLevelWiseBuilder:
             np.testing.assert_array_equal(tree.right[split], tree.left[split] + 1)
 
     def test_children_of_trees_laid_end_to_end(self):
-        """A tree holds only what growth decides, and derives its children. ``_pack`` derives
-        the whole ensemble's at once: each tree's ``left``, moved to where the tree starts."""
+        """A tree holds only what growth decides, and derives its children. An ``Ensemble``
+        derives the whole ensemble's at once: each tree's ``left``, moved to where the tree
+        starts."""
         assert [f.name for f in dataclasses.fields(Tree)] == ["feature", "threshold", "value",
                                                               "bootstrap"]
         fit = fit_forest(simulate(SimSetting(3, 150, 2)), ForestParams(n_trees=8, seed=1))
         root = Tree(np.array([-1]), np.zeros(1), np.array([2.5]), np.arange(3))
         trees = [root, *fit.center_trees, root, *fit.radius_trees, root]
-        nodes = _pack(trees)
-        want = [np.where(t.feature >= 0, t.left + lo, -1) for t, lo in zip(trees, nodes.bounds)]
-        assert nodes.left.tolist() == np.concatenate(want).tolist()
+        ens = ensemble_of(trees)
+        want = [np.where(t.feature >= 0, t.left + lo, -1) for t, lo in zip(trees, ens.bounds)]
+        assert ens.left.tolist() == np.concatenate(want).tolist()
 
     def test_every_feature_a_candidate_draws_nothing(self):
         """With mtry == m no generator is drawn from, and the trees are those
@@ -220,7 +221,7 @@ class TestLevelWiseBuilder:
         for params in (ForestParams(mtry=m, min_node=2), ForestParams(mtry=m, max_depth=3)):
             real = grow_trees(X, y, boots, [stream("t", t) for t in range(6)], params)
             fake = grow_trees(X, y, boots, [NoDraw() for _ in range(6)], params)
-            for a, b in zip(real, fake):
+            for a, b in zip(real.trees, fake.trees, strict=True):
                 for name in ("feature", "threshold", "left", "right", "value"):
                     x, z = getattr(a, name), getattr(b, name)
                     assert x.dtype == z.dtype and x.tobytes() == z.tobytes(), name
@@ -265,8 +266,8 @@ class TestLevelWiseBuilder:
         y = np.array([0.0, 4.0, 4.0, 8.0, 1.1, 3.3])
         params = ForestParams(n_trees=2, min_node=1, max_depth=1)
         rngs = [stream("t", 5), stream("t", 6)]
-        trees = grow_trees(X, y, [np.array([4, 5]), np.arange(4)], rngs, params)
-        assert trees[1].threshold[0] == 0.5
+        ens = grow_trees(X, y, [np.array([4, 5]), np.arange(4)], rngs, params)
+        assert ens.trees[1].threshold[0] == 0.5
 
     @pytest.mark.parametrize("level", [0.1, 1e4 + 0.1, 1e8 + 0.3])
     def test_constant_response_is_one_leaf_at_any_scale(self, level):
@@ -574,13 +575,11 @@ class TestTraversal:
         frame = simulate(SimSetting(7, n_rows, 2))
         X = frame.features()
         boot = np.random.default_rng(3)
-        fit = dataclasses.replace(
-            fit,
-            center_trees=[dataclasses.replace(t, bootstrap=boot.integers(0, n_rows, n_rows))
-                          for t in fit.center_trees],
-            radius_trees=[dataclasses.replace(t, bootstrap=boot.integers(0, n_rows, n_rows))
-                          for t in fit.radius_trees],
-        )
+        fit = dataclasses.replace(fit, **{
+            key: ensemble_of([dataclasses.replace(t, bootstrap=boot.integers(0, n_rows, n_rows))
+                              for t in getattr(fit, f"{key}_trees")])
+            for key in ("center", "radius")
+        })
         pred = predict_forest_rows(fit, X)
         oob = oob_error(fit, frame)
         for trees, got, y, component in (
@@ -602,15 +601,15 @@ class TestTraversal:
             assert oob[component]["mse"] == float(np.mean(resid**2))
 
 
-def walk_sums(trees, X, out_of_bag=False):
+def walk_sums(ens, X, out_of_bag=False):
     """``_sums`` with every tree walked."""
-    return _sums(_pack(trees), X, np.zeros(len(trees), dtype=bool), out_of_bag)
+    return _sums(ens, X, np.zeros(ens.n_trees, dtype=bool), out_of_bag)
 
 
-def assert_paths_agree(trees, X, out_of_bag=False):
+def assert_paths_agree(ens, X, out_of_bag=False):
     """The walk and the leaf bitvectors give the same totals and counts, byte for byte."""
-    walk = walk_sums(trees, X, out_of_bag)
-    bits = _sums(_pack(trees), X, np.ones(len(trees), dtype=bool), out_of_bag)
+    walk = walk_sums(ens, X, out_of_bag)
+    bits = _sums(ens, X, np.ones(ens.n_trees, dtype=bool), out_of_bag)
     for a, b in zip(walk, bits):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     return walk
@@ -667,18 +666,18 @@ class TestLeafBitvectors:
                 for f in (frame, queries)
             )
         fit = fit_forest(frame, ForestParams(n_trees=12, seed=2))
-        for trees in (fit.center_trees, fit.radius_trees):
-            assert max(t.n_leaves for t in trees) <= 64
-            assert_paths_agree(trees, queries.features())
-            assert_paths_agree(trees, frame.features(), out_of_bag=True)
+        for ens in (fit.center, fit.radius):
+            assert max(t.n_leaves for t in ens.trees) <= 64
+            assert_paths_agree(ens, queries.features())
+            assert_paths_agree(ens, frame.features(), out_of_bag=True)
 
     def test_root_only_trees(self):
         frame = simulate(SimSetting(1, 60, 2))
         X = frame.features()
         grown = fit_forest(frame, ForestParams(n_trees=3, seed=1)).center_trees
         root = Tree(np.array([-1]), np.zeros(1), np.array([2.5]), np.arange(0, 60, 2))
-        assert_paths_agree([root, root], X, out_of_bag=True)
-        total, counts = assert_paths_agree([root, *grown, root], X)
+        assert_paths_agree(ensemble_of([root, root]), X, out_of_bag=True)
+        total, counts = assert_paths_agree(ensemble_of([root, *grown, root]), X)
         assert counts.tolist() == [5] * 60
 
     @pytest.mark.parametrize("deep_right", [True, False], ids=["deep right", "deep left"])
@@ -686,16 +685,17 @@ class TestLeafBitvectors:
         """A 64-leaf chain is 63 levels deep. A 65-leaf tree walks; the others keep bitvectors."""
         X = np.random.default_rng(1).uniform(-1.5, 1.5, (500, 2))
         trees = [chain_tree(64, deep_right, 500), chain_tree(5, not deep_right, 500)]
-        walk = assert_paths_agree(trees, X)
-        assert_paths_agree(trees, X, out_of_bag=True)
+        ens = ensemble_of(trees)
+        walk = assert_paths_agree(ens, X)
+        assert_paths_agree(ens, X, out_of_bag=True)
         paths_taken.clear()
-        got = _tree_sums(trees, X)
+        got = _tree_sums(ens, X)
         assert paths_taken == [[True, True]]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(walk, got))
-        trees.append(chain_tree(65, deep_right, 500))
-        walk = walk_sums(trees, X)
+        ens = ensemble_of([*trees, chain_tree(65, deep_right, 500)])
+        walk = walk_sums(ens, X)
         paths_taken.clear()
-        got = _tree_sums(trees, X)
+        got = _tree_sums(ens, X)
         assert paths_taken == [[True, True, False]]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(walk, got))
 
@@ -707,27 +707,28 @@ class TestLeafBitvectors:
         X = np.random.default_rng(4).uniform(-1.5, 1.5, (n, 2))
         small = iter(chain_tree(k, k % 2 == 0, n) for k in (3, 8, 12, 5))
         big = iter(scaled(chain_tree(65 + i, i == 0, n), (-1) ** i * 1e16) for i in range(2))
-        trees = [next(big) if c == "B" else next(small) for c in order]
+        ens = ensemble_of([next(big) if c == "B" else next(small) for c in order])
         for rows, out_of_bag in ((X, False), (X, True), (X[:0], False)):
-            want = walk_sums(trees, rows, out_of_bag)
+            want = walk_sums(ens, rows, out_of_bag)
             paths_taken.clear()
-            assert_same_bytes(_tree_sums(trees, rows, out_of_bag), want)
+            assert_same_bytes(_tree_sums(ens, rows, out_of_bag), want)
             assert paths_taken == [[c == "s" and rows.shape[0] > 0 for c in order]]
 
     def test_mixed_ensemble_rows_against_word_tree_pairs(self, paths_taken):
         """Only the word trees' pairs count: rows equal to them walk every tree, one more row
         takes bitvectors for the word trees."""
         trees = [chain_tree(20, True, 100), chain_tree(70, False, 100), chain_tree(9, False, 100)]
-        pairs = _pack(trees).pair_threshold.size
-        assert pairs == _pack([trees[0], trees[2]]).pair_threshold.size
+        ens = ensemble_of(trees)
+        pairs = ens.pair_threshold.size
+        assert pairs == ensemble_of([trees[0], trees[2]]).pair_threshold.size
         every_pair = {(f, t) for tree in trees for f, t in zip(tree.feature, tree.threshold)
                       if f >= 0}
         assert pairs < len(every_pair)
         X = np.random.default_rng(5).uniform(-1.5, 1.5, (pairs + 1, 2))
         for rows, word in ((X[:pairs], False), (X, True)):
-            want = walk_sums(trees, rows)
+            want = walk_sums(ens, rows)
             paths_taken.clear()
-            assert_same_bytes(_tree_sums(trees, rows), want)
+            assert_same_bytes(_tree_sums(ens, rows), want)
             assert paths_taken == [[word, False, word]]
 
     def test_blocks_that_start_on_a_walked_tree(self, monkeypatch, paths_taken):
@@ -743,13 +744,13 @@ class TestLeafBitvectors:
                      for k in range(order.count("s")))
         big = iter(scaled(chain_tree(65 + i % 2, i % 2 == 0, n), (-1) ** i * 1e16)
                    for i in range(order.count("B")))
-        trees = [next(big) if c == "B" else next(small) for c in order]
-        width = _pack(trees).pair_threshold.size + X.shape[1]
+        ens = ensemble_of([next(big) if c == "B" else next(small) for c in order])
+        width = ens.pair_threshold.size + X.shape[1]
         monkeypatch.setattr(forest, "_TABLE_WORDS", 4 * width)
         for rows, out_of_bag in ((X, False), (X, True)):
-            want = walk_sums(trees, rows, out_of_bag)
+            want = walk_sums(ens, rows, out_of_bag)
             paths_taken.clear()
-            assert_same_bytes(_tree_sums(trees, rows, out_of_bag), want)
+            assert_same_bytes(_tree_sums(ens, rows, out_of_bag), want)
             assert paths_taken == [[c == "s" for c in order]]
 
     def test_grown_mixed_forest_matches_walk(self, monkeypatch, paths_taken):
@@ -780,16 +781,16 @@ class TestLeafBitvectors:
         tree = grow_tree(np.arange(64), y, X, params, stream("t", 0))
         assert tree.n_leaves == 64
         queries = np.column_stack([np.linspace(-1, 64, 400), np.zeros(400)])
-        total, _ = assert_paths_agree([tree], queries)
+        total, _ = assert_paths_agree(ensemble_of([tree]), queries)
         assert total.tobytes() == route(tree, queries).tobytes()
 
     def test_rows_are_counted_more_than_pairs(self, paths_taken):
         fit = fit_forest(simulate(SimSetting(5, 80, 3)), ForestParams(n_trees=4, seed=1))
-        pairs = _pack(fit.center_trees).pair_threshold.size
+        pairs = fit.center.pair_threshold.size
         X = simulate(SimSetting(5, pairs + 1, 4)).features()
         paths_taken.clear()  # of the fit's out-of-bag errors
-        _tree_sums(fit.center_trees, X[:pairs])
-        _tree_sums(fit.center_trees, X)
+        _tree_sums(fit.center, X[:pairs])
+        _tree_sums(fit.center, X)
         assert paths_taken == [[False] * 4, [True] * 4]
 
     @pytest.mark.parametrize("group_trees", [1, 7])
@@ -799,34 +800,122 @@ class TestLeafBitvectors:
         fit = fit_forest(simulate(SimSetting(7, 300, 1)), ForestParams(n_trees=12, seed=2))
         X = simulate(SimSetting(7, 5000, 2)).features()
         assert max(1, _CHUNK_SAMPLES // X.shape[0]) == 3
-        for trees in (fit.center_trees, fit.radius_trees):
-            assert max(t.n_leaves for t in trees) <= 64
-            width = _pack(trees).pair_threshold.size + X.shape[1]
+        for ens in (fit.center, fit.radius):
+            assert max(t.n_leaves for t in ens.trees) <= 64
+            width = ens.pair_threshold.size + X.shape[1]
             monkeypatch.setattr(forest, "_TABLE_WORDS", group_trees * width)
-            assert_paths_agree(trees, X)
+            assert_paths_agree(ens, X)
 
     def test_feature_without_splits(self):
         rng = np.random.default_rng(7)
         X = np.column_stack([rng.normal(size=90), np.full(90, 0.5), rng.normal(size=90)])
         y = X[:, 0] + X[:, 2] ** 2
         boots = [stream("boot", t).integers(0, 90, 90) for t in range(4)]
-        trees = grow_trees(X, y, boots, [stream("t", t) for t in range(4)], ForestParams(mtry=3))
-        assert _pack(trees).pair_feature.tolist().count(1) == 0
+        ens = grow_trees(X, y, boots, [stream("t", t) for t in range(4)], ForestParams(mtry=3))
+        assert ens.pair_feature.tolist().count(1) == 0
         queries = rng.normal(size=(300, 3))
-        assert_paths_agree(trees, queries)
-        assert_paths_agree(trees, X, out_of_bag=True)
+        assert_paths_agree(ens, queries)
+        assert_paths_agree(ens, X, out_of_bag=True)
 
     def test_query_equal_to_a_threshold_goes_left(self):
         frame = simulate(SimSetting(1, 120, 6))
         fit = fit_forest(frame, ForestParams(n_trees=10, seed=3))
-        for trees in (fit.center_trees, fit.radius_trees):
-            nodes = _pack(trees)
-            on = [nodes.pair_threshold[nodes.pair_feature == f] for f in (0, 1)]
+        for ens in (fit.center, fit.radius):
+            on = [ens.pair_threshold[ens.pair_feature == f] for f in (0, 1)]
             X = np.column_stack([np.resize(on[0], 600), np.resize(on[1][::-1], 600)])
             X[::7, 1] = np.nan  # nan > threshold is false, as for the walk
-            total, counts = assert_paths_agree(trees, X)
+            total, counts = assert_paths_agree(ens, X)
             expected = np.zeros(600)
-            for tree in trees:
+            for tree in ens.trees:
                 expected += route(tree, np.nan_to_num(X, nan=-np.inf))
             assert total.tobytes() == expected.tobytes()
-            assert counts.tolist() == [len(trees)] * 600
+            assert counts.tolist() == [ens.n_trees] * 600
+
+
+def loop_sums(trees, X, out_of_bag=False):
+    """Leaf values summed by an explicit loop over the trees in tree order, and the counts."""
+    total, counts = np.zeros(X.shape[0]), np.zeros(X.shape[0], dtype=np.int64)
+    for tree in trees:
+        kept = np.ones(X.shape[0], dtype=bool)
+        if out_of_bag:
+            kept[tree.bootstrap] = False
+        total[kept] += route(tree, X)[kept]
+        counts += kept
+    return total, counts
+
+
+class TestEnsemble:
+    """An ensemble is built once, by growth or the reader, and every use reads that record."""
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 5000, _CHUNK_SAMPLES + 1])
+    def test_sums_match_a_loop_in_tree_order(self, paths_taken, n_rows):
+        """Word trees (s) and trees of 65-66 leaves (B), with leaf values from about 1e-3 to
+        1e16 of both signs, which round differently unless every tree is added in tree order.
+        Blocks hold 3 trees of 5000 rows and one of 16 385, and mix both paths; one and two rows
+        walk every tree, and bitvectors for the word trees are forced on them too. A reduction
+        over a single column would add one row's 24 trees pairwise."""
+        X = np.random.default_rng(7).uniform(-1.5, 1.5, (n_rows, 2))
+        order = "sBsBssBs" * 3
+        small = iter(scaled(chain_tree(3 + k, k % 2 == 0, n_rows), 10.0 ** (3 * (k % 6) - 3))
+                     for k in range(order.count("s")))
+        big = iter(scaled(chain_tree(65 + i % 2, i % 2 == 0, n_rows), (-1) ** i * 1e16)
+                   for i in range(order.count("B")))
+        trees = [next(big) if c == "B" else next(small) for c in order]
+        ens = ensemble_of(trees)
+        assert ens.word.tolist() == [c == "s" for c in order]
+        for out_of_bag in (False, True):
+            want = loop_sums(trees, X, out_of_bag)
+            paths_taken.clear()
+            assert_same_bytes(_tree_sums(ens, X, out_of_bag), want)
+            assert paths_taken == [(ens.word & (n_rows > ens.pair_threshold.size)).tolist()]
+            assert_same_bytes(_sums(ens, X, ens.word, out_of_bag), want)
+            assert_same_bytes(walk_sums(ens, X, out_of_bag), want)
+
+    def test_grown_sums_match_a_loop(self):
+        """A fitted forest's test-set and out-of-bag sums, on rows below and above a block."""
+        frame = simulate(SimSetting(7, 400, 1))
+        fit = fit_forest(frame, ForestParams(n_trees=12, seed=1))
+        for X in (simulate(SimSetting(7, 3000, 2)).features(), frame.features()):
+            for ens in (fit.center, fit.radius):
+                assert_same_bytes(_tree_sums(ens, X), loop_sums(ens.trees, X))
+        for ens in (fit.center, fit.radius):
+            X = frame.features()
+            assert_same_bytes(_tree_sums(ens, X, True), loop_sums(ens.trees, X, True))
+
+    def test_trees_are_views_of_the_ensemble(self):
+        frame = simulate(SimSetting(3, 100, 1))
+        fit = fit_forest(frame, ForestParams(n_trees=5, seed=1))
+        loaded = forest_from_json(forest_to_json(fit))
+        for ens, trees in ((fit.center, fit.center_trees), (fit.radius, fit.radius_trees),
+                           (loaded.center, loaded.center_trees)):
+            assert type(trees) is list and len(trees) == ens.n_trees == 5
+            for t, tree in enumerate(trees):
+                assert type(tree) is Tree
+                for key, bounds in (("feature", ens.bounds), ("threshold", ens.bounds),
+                                    ("value", ens.bounds), ("bootstrap", ens.draw_bounds)):
+                    part, whole = getattr(tree, key), getattr(ens, key)
+                    assert np.shares_memory(part, whole), key
+                    assert part.tobytes() == whole[bounds[t] : bounds[t + 1]].tobytes(), key
+        with pytest.raises(AttributeError):
+            fit.center_trees = trees
+
+    def test_prediction_and_oob_derive_nothing(self, monkeypatch):
+        """Children and (feature, threshold) pairs are derived when an ensemble is built: once
+        per growth chunk and once for their join, and not again to predict or score."""
+        frame = simulate(SimSetting(5, 1000, 1))
+        built = []
+        init = Ensemble.__init__
+
+        def record(self, *args):
+            built.append(len(args[3]))
+            init(self, *args)
+
+        monkeypatch.setattr(Ensemble, "__init__", record)
+        fit = fit_forest(frame, ForestParams(n_trees=40, seed=1))
+        per_chunk = _CHUNK_SAMPLES // frame.n
+        assert built == ([per_chunk, per_chunk, 40 - 2 * per_chunk, 40]) * 2
+        built.clear()
+        predict_forest_frame(fit, frame)
+        oob_error(fit, frame)
+        fit.center_trees, fit.radius_trees
+        assert built == []

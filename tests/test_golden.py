@@ -4,11 +4,11 @@ The copies are a bench grid's ``results.csv`` and ``summary.csv``, the ``ivf pre
 of a setting-7 forest whose prediction takes both leaf bitvectors and the walk, the
 ``ivf fit`` model files of a small ccrm, ke and rf fit, and the ``summary.csv`` and rf
 predictions of an ``ivf bench --real`` run of all five models on the fit's data. The
-committed rf file must also still load and predict as a new fit does. On the numpy version
-recorded in ``golden/numpy-version`` they must match byte for byte. numpy's SIMD reductions
-can differ by an ulp across releases, so on any other version every CSV field that parses as
-a number, and every JSON number, must match to a relative 1e-12, and every other field
-exactly.
+committed rf file must also still load and predict as a new fit does. Where the key in
+``golden/key.json`` matches this machine's (``golden_key.py``: the numpy version, the SIMD
+targets numpy dispatches to, and OpenBLAS's kernel) they must match byte for byte. Each of
+the three can move results by an ulp, so on any other key every CSV field that parses as a
+number, and every JSON number, must match to a relative 1e-12, and every other field exactly.
 
 Regenerate the copies with ``PYTHONPATH=src python tests/test_golden.py``, and say in the
 change log which bytes moved and why.
@@ -27,6 +27,7 @@ from ivforest.cli import main
 from ivforest.frame import load_csv
 from ivforest.models import fit_model, model_from_json, model_to_json, predict_model
 from ivforest.simulate import SimSetting, simulate
+from golden_key import golden_key
 from splits import node_counts
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -87,11 +88,13 @@ def json_match(got, want) -> bool:
 
 
 def exact_bytes() -> bool:
-    """Whether numpy is the version the golden files were written on, so bytes must match."""
-    recorded = (GOLDEN / "numpy-version").read_text(encoding="utf-8").strip()
-    exact = np.__version__ == recorded
+    """Whether this machine has the key the golden files were written with, so bytes must
+    match."""
+    here = golden_key()
+    recorded = json.loads((GOLDEN / "key.json").read_text(encoding="utf-8"))
+    exact = here == recorded
     print(f"golden comparison: {'exact bytes' if exact else f'numbers to rel {REL_TOL}'} "
-          f"(numpy {np.__version__}, recorded {recorded})")
+          f"(here {here}, recorded {recorded})")
     return exact
 
 
@@ -181,4 +184,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, path in golden_outputs(Path(tmp)).items():
             shutil.copyfile(path, GOLDEN / name)
-    (GOLDEN / "numpy-version").write_text(np.__version__ + "\n", encoding="utf-8")
+    (GOLDEN / "key.json").write_text(json.dumps(golden_key(), sort_keys=True) + "\n",
+                                    encoding="utf-8")

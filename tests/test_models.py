@@ -197,6 +197,64 @@ def test_kernel_training_faults_rejected_at_load(train_test, case):
         model_from_json(json.dumps(doc), "ke.json")
 
 
+def _set_in(*keys_and_value):
+    """Edit that sets ``doc[k1]...[kn] = value``."""
+    *keys, last, value = keys_and_value
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+# a value of another JSON type than the reader takes: numpy would read "8.3" as 8.3 and true as
+# 1.0, and bool() would read "no" as true
+BODY_FAULTS = {
+    "quoted coefficient": ("ccrm", _set_in("coefficients", 0, 0, "8.3"),
+                           "'coefficients' must hold JSON numbers"),
+    "boolean coefficient": ("crm", _set_in("coefficients", 1, 1, True),
+                            "'coefficients' must hold JSON numbers"),
+    "missing coefficient": ("minmax", lambda doc: doc["coefficients"][1].pop(),
+                            "'coefficients' must be a list of 2 lists of 2 JSON numbers"),
+    "quoted rank_deficient": ("ccrm", _set_in("diagnostics", "rank_deficient", "no"),
+                              "'diagnostics' 'rank_deficient' must be true or false"),
+    "boolean rss": ("ccrm", _set_in("diagnostics", "rss", 0, False),
+                    "'diagnostics' 'rss' must hold JSON numbers"),
+    "fractional active constraint": ("ccrm", _set_in("diagnostics", "active_constraints", [0.5]),
+                                     "'diagnostics' 'active_constraints' must hold JSON integers"),
+    "boolean bandwidth": ("ke", _set_in("bandwidth", True), "'bandwidth' must be a JSON number"),
+    "quoted bandwidth": ("ke", _set_in("bandwidth", "0.5"), "'bandwidth' must be a JSON number"),
+    "numeric kernel name": ("ke", _set_in("kernel", 1), "'kernel' must be a string"),
+    "boolean n_trees": ("rf", _set_in("params", "n_trees", True),
+                        "'params' 'n_trees' must be a JSON integer"),
+    "boolean min_node": ("rf", _set_in("params", "min_node", True),
+                         "'params' 'min_node' must be a JSON integer"),
+    "fractional mtry": ("rf", _set_in("params", "mtry", 2.5),
+                        "'params' 'mtry' must be a JSON integer or null"),
+    "quoted seed": ("rf", _set_in("params", "seed", "x"), "'params' 'seed' must be a JSON integer"),
+    "null seed": ("rf", _set_in("params", "seed", None), "'params' 'seed' must be a JSON integer"),
+    "no n_trees": ("rf", lambda doc: doc["params"].pop("n_trees"), "no key 'n_trees'"),
+    "unknown param": ("rf", _set_in("params", "depth", 3), "unexpected keyword argument 'depth'"),
+    "numeric feature name": ("rf", _set_in("feature_names", 0, 1),
+                             "'feature_names' must hold strings"),
+    "feature name missing": ("rf", lambda doc: doc["feature_names"].pop(),
+                             "'feature_names' must be a list of 2 strings"),
+}
+
+
+@pytest.mark.parametrize("case", list(BODY_FAULTS))
+def test_body_values_of_another_json_type_rejected_at_load(train_test, case):
+    model, edit, named = BODY_FAULTS[case]
+    fit = fit_model(model, train_test[0], seed=1, bandwidth=0.5, n_trees=3)
+    doc = json.loads(model_to_json(fit))
+    model_from_json(json.dumps(doc), "m.json")  # loads before the edit
+    edit(doc)
+    with pytest.raises(ConfigError, match=f"^m.json: (bad )?{model} model file") as info:
+        model_from_json(json.dumps(doc), "m.json")
+    assert named in str(info.value)
+
+
 def test_forest_with_nan_oob_loads(forest_text):
     """OOB R-squared is NaN when the OOB responses are constant; prediction does not read it."""
     doc = json.loads(forest_text)
