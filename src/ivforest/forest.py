@@ -151,14 +151,6 @@ class Ensemble:
         self.pair = np.full(feature.size, -1, dtype=np.int64)
         self.pair[split] = np.cumsum(new) - 1
 
-    @classmethod
-    def join(cls, parts: list[Ensemble]) -> Ensemble:
-        """The trees of ``parts``, in order; a single part is returned as it is."""
-        if len(parts) == 1:
-            return parts[0]
-        keys = ("feature", "threshold", "value", "n_nodes", "bootstrap", "n_draws")
-        return cls(*(np.concatenate([getattr(p, k) for p in parts]) for k in keys))
-
     @property
     def trees(self) -> list[Tree]:
         """Each tree, its arrays views of this ensemble's."""
@@ -174,6 +166,8 @@ _TREE_ARRAYS = {"feature": np.int64, "threshold": float, "left": np.int64, "righ
                 "value": float, "bootstrap": np.int64}
 _NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")  # one entry per node
 _JSON_TYPES = {np.int64: {int}, float: {int, float}}  # the types each dtype's lists may hold
+# what oob_error reports per component, and the json_value kind a model file holds each as
+_OOB_KINDS = {"mse": float, "r2": float, "rows_used": int, "rows_skipped": int}
 
 
 def _children(feature: np.ndarray, starts) -> np.ndarray:
@@ -262,7 +256,14 @@ def grow_trees(
     rngs: list[np.random.Generator],
     params: ForestParams,
 ) -> Ensemble:
-    """Grow one tree per (bootstrap, generator) pair, all of them level by level.
+    """Grow one tree per (bootstrap, generator) pair, all of them level by level, as one
+    ``Ensemble``."""
+    return Ensemble(*_grow(X, y, bootstraps, rngs, params))
+
+
+def _grow(X, y, bootstraps, rngs, params) -> tuple:
+    """``grow_trees``' trees, from its arguments, as the arrays an ``Ensemble`` is built from, in
+    its argument order.
 
     A sample is a tree's distinct bootstrap row, weighted by how many times
     the tree drew it, and its node at the current level is the only state
@@ -279,7 +280,7 @@ def grow_trees(
     level each draw goes to its sample's leaf, and one ``bincount`` adds the
     draws' responses in draw order. A tree's nodes come level by level, each
     level's in its parents' order, which is the numbering ``_children``
-    derives; node counts are not kept. The trees come as one ``Ensemble``.
+    derives; node counts are not kept.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -354,8 +355,8 @@ def grow_trees(
     value = sums / count  # no draw ends at a split node, so its value is 0
     # within a tree, levels and the nodes of a level come in id order
     by_tree = np.argsort(level_tree, kind="stable")
-    return Ensemble(feature[by_tree], threshold[by_tree], value[by_tree], np.bincount(level_tree),
-                    draws, [b.size for b in bootstraps])
+    return (feature[by_tree], threshold[by_tree], value[by_tree], np.bincount(level_tree), draws,
+            [b.size for b in bootstraps])
 
 
 def _draw_candidates(
@@ -406,8 +407,9 @@ def fit_forest(train: IntervalFrame, params: ForestParams | None = None) -> Fore
                 for t in range(start, min(start + per_chunk, params.n_trees))
             ]
             boots = [rng.integers(0, n, n) for rng in rngs]  # each tree's bootstrap comes first
-            parts.append(grow_trees(X, y, boots, rngs, params))
-        return Ensemble.join(parts)
+            parts.append(_grow(X, y, boots, rngs, params))
+        # each array of the chunks laid end to end, so that the ensemble is derived once
+        return Ensemble(*map(np.concatenate, zip(*parts)))
 
     fit = ForestFit(train.feature_names(), train.predictor_names, params,
                     ensemble("center", train.y_center), ensemble("radius", train.y_radius))
@@ -448,18 +450,22 @@ def _sums(
       split node clears the bits of its left subtree's leaves when ``x > threshold``. Feature
       f's table holds, per tree and per count r of f's distinct thresholds below x, the AND of
       the masks of the nodes on those r thresholds. ``searchsorted(thresholds, x, "left")``
-      counts the thresholds below x, the nodes where the walk goes right. A row ANDs one table
-      entry per feature, and its leaf is the lowest bit left set: each leaf to its left lies in
-      the left subtree of a node where the walk goes right, and no node on the row's own path
-      clears it. Tables have a line per tree in ``bits``, by rank among those trees; they are
-      built for about ``_TABLE_WORDS`` words of trees at a time, or one block's trees if those
-      take more, when a block first needs them.
+      counts the thresholds below x, the nodes where the walk goes right, on f's contiguous row
+      of ``X.T``; nan counts none. A row ANDs one table entry per feature that has a pair,
+      starting from the first such feature's entry, and its leaf is the lowest bit left set:
+      each leaf to its left lies in the left subtree of a node where the walk goes right, and
+      no node on the row's own path clears it. With no pair, every word keeps all its bits,
+      leaf 0. Tables have a line per tree in ``bits``, by rank among those trees; they are built
+      for about ``_TABLE_WORDS`` words of trees at a time, or one block's trees if those take
+      more, when a block first needs them. A block reads each feature's entries with one
+      ``take`` of its columns along the block's lines, so each line is read contiguously.
     """
     rows = X.shape[0]
     X = np.repeat(X, 2, axis=0) if rows == 1 else X
     n, m = X.shape
     rank = np.cumsum(bits) - bits  # of each tree among the trees in bits
     one = np.uint64(1)
+    Xt = X.T.ravel()  # X[r, f] is Xt[f * n + r]
     if bits.any():
         first = _first_leaves(ens, ens.bounds[np.flatnonzero(bits)])
         in_bits = first >= 0  # the nodes of the trees in bits
@@ -476,16 +482,15 @@ def _sums(
         for f in np.unique(ens.pair_feature).tolist():
             a, b = starts[f] + f, starts[f + 1] + f + 1
             spans.append(slice(a, b))
-            below = np.searchsorted(ens.pair_threshold[starts[f] : starts[f + 1]], X[:, f],
-                                    "left")
-            columns.append(a + np.where(np.isnan(X[:, f]), 0, below))  # nan > threshold is false
+            x = Xt[f * n : (f + 1) * n]
+            below = np.searchsorted(ens.pair_threshold[starts[f] : starts[f + 1]], x, "left")
+            columns.append(a + np.where(np.isnan(x), 0, below))  # nan > threshold is false
         # the k-th leaf from the left of the tree of rank t at t * 64 + k
         n_words = int(bits.sum())
         leaf_value = np.zeros(n_words * _WORD_BITS)
         leaf_value[rank[ens.tree_of[leaf]] * _WORD_BITS + first[leaf]] = ens.value[leaf]
         width = ens.pair_threshold.size + m
         first_rank, table = 0, np.empty((0, width), dtype=np.uint64)  # the current group's
-    Xt = X.T.ravel()  # X[r, f] is Xt[f * n + r]
     inner = ens.feature >= 0
     # pair b * n + r of tree start + b and row r finds X[r, f] at pair + offset + start * n in Xt
     offset = (ens.feature - ens.tree_of) * n
@@ -521,9 +526,12 @@ def _sums(
                 np.bitwise_and.at(table, (split_rank[a:b] - r0, split_column[a:b]), mask[a:b])
                 for span in spans:
                     np.bitwise_and.accumulate(table[:, span], axis=1, out=table[:, span])
-            words = np.full((r1 - r0, n), _ALL_LEAVES)
-            for col in columns:
-                words &= table[r0 - first_rank : r1 - first_rank, col]
+            # with no pair, every word keeps all its bits: leaf 0
+            lines = table[r0 - first_rank : r1 - first_rank]
+            words = (lines.take(columns[0], axis=1) if columns
+                     else np.full((r1 - r0, n), _ALL_LEAVES))
+            for col in columns[1:]:
+                words &= lines.take(col, axis=1)
             # words ^ (words - 1) holds the lowest set bit and the bits below it
             values[word] = leaf_value[_WORD_BITS * np.arange(r0, r1)[:, None] - 1
                                       + np.bitwise_count(words ^ (words - one))]
@@ -660,15 +668,19 @@ def forest_from_doc(doc: dict) -> ForestFit:
     feature_names = tuple(json_value(doc, "feature_names", str, (2 * len(doc["predictors"]),)))
     params = doc["params"]  # every field, each a JSON integer; a key of no field is rejected
     keys = {f.name for f in fields(ForestParams)} | set(params)
-    return ForestFit(
-        feature_names,
-        tuple(doc["predictors"]),
-        ForestParams(**{k: json_value(params, k, int, name=f"'params' {k!r}",
-                                      null=k in ("mtry", "max_depth")) for k in keys}),
-        _trees_from(doc, "center_trees", len(feature_names)),
-        _trees_from(doc, "radius_trees", len(feature_names)),
-        doc.get("oob", {}),
-    )
+    params = ForestParams(**{k: json_value(params, k, int, name=f"'params' {k!r}",
+                                           null=k in ("mtry", "max_depth")) for k in keys})
+    oob, components = doc["oob"], ("center", "radius")  # json writes an undefined R² as NaN
+    if not (isinstance(oob, dict) and all(isinstance(oob.get(c), dict) for c in components)):
+        raise ConfigError("'oob' must be an object holding objects 'center' and 'radius'")
+    oob = {c: {k: json_value(oob[c], k, kind, name=f"'oob' {c!r} {k!r}")
+               for k, kind in _OOB_KINDS.items()} for c in components}
+    center = _trees_from(doc, "center_trees", len(feature_names))
+    radius = _trees_from(doc, "radius_trees", len(feature_names))
+    if not params.n_trees == center.n_trees == radius.n_trees:
+        raise ConfigError(f"'params' 'n_trees' is {params.n_trees}, but the ensembles hold "
+                          f"{center.n_trees} center and {radius.n_trees} radius trees")
+    return ForestFit(feature_names, tuple(doc["predictors"]), params, center, radius, oob)
 
 
 class _Faults:

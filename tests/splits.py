@@ -50,5 +50,6 @@ def node_counts(tree, X):
 
 def ensemble_of(trees):
     """The ``Ensemble`` of ``trees``, in order."""
-    return Ensemble.join([Ensemble(t.feature, t.threshold, t.value, [t.feature.size], t.bootstrap,
-                                   [t.bootstrap.size]) for t in trees])
+    arrays = [(t.feature, t.threshold, t.value, [t.feature.size], t.bootstrap, [t.bootstrap.size])
+              for t in trees]
+    return Ensemble(*map(np.concatenate, zip(*arrays)))

@@ -308,6 +308,9 @@ FAULTS = {
     "rf file with a boolean n_trees": (
         lambda t: edited_model(t, "rf", set_item("params", "n_trees", True)), {}, 2,
         "'params' 'n_trees' must be a JSON integer"),
+    "rf file whose n_trees is not its tree count": (
+        lambda t: edited_model(t, "rf", set_item("params", "n_trees", 500)), {}, 2,
+        "'params' 'n_trees' is 500"),
     "ccrm file with a quoted coefficient": (
         lambda t: edited_model(t, "ccrm", set_item("coefficients", 0, 0, "8.3")), {}, 2,
         "'coefficients' must hold JSON numbers"),

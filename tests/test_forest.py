@@ -806,7 +806,9 @@ class TestLeafBitvectors:
             monkeypatch.setattr(forest, "_TABLE_WORDS", group_trees * width)
             assert_paths_agree(ens, X)
 
-    def test_feature_without_splits(self):
+    def test_feature_without_splits(self, paths_taken):
+        """Feature 1 has no split. Every query column holds nan, which goes left at every split
+        node, and one row is nan throughout."""
         rng = np.random.default_rng(7)
         X = np.column_stack([rng.normal(size=90), np.full(90, 0.5), rng.normal(size=90)])
         y = X[:, 0] + X[:, 2] ** 2
@@ -814,8 +816,32 @@ class TestLeafBitvectors:
         ens = grow_trees(X, y, boots, [stream("t", t) for t in range(4)], ForestParams(mtry=3))
         assert ens.pair_feature.tolist().count(1) == 0
         queries = rng.normal(size=(300, 3))
+        for f, step in enumerate((5, 7, 3)):
+            queries[f::step, f] = np.nan
+        queries[-1] = np.nan
+        paths_taken.clear()
+        assert_sums_match_loop(ens, queries)
+        assert paths_taken[0] == [True] * 4
         assert_paths_agree(ens, queries)
         assert_paths_agree(ens, X, out_of_bag=True)
+
+    def test_single_leaf_trees_predict_by_bitvectors(self, paths_taken):
+        """Trees that are one leaf each have no (feature, threshold) pair, so any rows outnumber
+        their pairs: every word keeps all its bits, leaf 0."""
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(50, 2))
+        frame = IntervalFrame(("x1",), X[:, :1], np.abs(X[:, 1:]), np.full(50, 2.5),
+                              np.full(50, 0.5))
+        fit = fit_forest(frame, ForestParams(n_trees=6, seed=1))
+        queries = rng.normal(size=(40, 2))
+        queries[::3, 0] = np.nan
+        for ens in (fit.center, fit.radius):
+            assert ens.pair_threshold.size == 0 and ens.n_nodes.tolist() == [1] * 6
+            paths_taken.clear()
+            assert_sums_match_loop(ens, queries)
+            assert paths_taken[0] == [True] * 6
+        pred = predict_forest_rows(fit, queries)
+        assert pred.center.tolist() == [2.5] * 40 and pred.radius.tolist() == [0.5] * 40
 
     def test_query_equal_to_a_threshold_goes_left(self):
         frame = simulate(SimSetting(1, 120, 6))
@@ -842,6 +868,15 @@ def loop_sums(trees, X, out_of_bag=False):
         total[kept] += route(tree, X)[kept]
         counts += kept
     return total, counts
+
+
+def assert_sums_match_loop(ens, X, out_of_bag=False):
+    """``_tree_sums``, forced bitvectors for the word trees and the walk each give
+    ``loop_sums``' bytes. A nan in ``X`` goes left at a split node, as -inf does."""
+    want = loop_sums(ens.trees, np.where(np.isnan(X), -np.inf, X), out_of_bag)
+    assert_same_bytes(_tree_sums(ens, X, out_of_bag), want)
+    assert_same_bytes(_sums(ens, X, ens.word, out_of_bag), want)
+    assert_same_bytes(walk_sums(ens, X, out_of_bag), want)
 
 
 class TestEnsemble:
@@ -901,7 +936,7 @@ class TestEnsemble:
 
     def test_prediction_and_oob_derive_nothing(self, monkeypatch):
         """Children and (feature, threshold) pairs are derived when an ensemble is built: once
-        per growth chunk and once for their join, and not again to predict or score."""
+        per component, after its growth chunks, and not again to predict or score."""
         frame = simulate(SimSetting(5, 1000, 1))
         built = []
         init = Ensemble.__init__
@@ -911,9 +946,9 @@ class TestEnsemble:
             init(self, *args)
 
         monkeypatch.setattr(Ensemble, "__init__", record)
+        assert _CHUNK_SAMPLES // frame.n == 16  # growth chunks of 16, 16 and 8 trees
         fit = fit_forest(frame, ForestParams(n_trees=40, seed=1))
-        per_chunk = _CHUNK_SAMPLES // frame.n
-        assert built == ([per_chunk, per_chunk, 40 - 2 * per_chunk, 40]) * 2
+        assert built == [40, 40]
         built.clear()
         predict_forest_frame(fit, frame)
         oob_error(fit, frame)

@@ -240,6 +240,27 @@ BODY_FAULTS = {
                              "'feature_names' must hold strings"),
     "feature name missing": ("rf", lambda doc: doc["feature_names"].pop(),
                              "'feature_names' must be a list of 2 strings"),
+    "n_trees beyond the trees": ("rf", _set_in("params", "n_trees", 500),
+                                 "'params' 'n_trees' is 500, but the ensembles hold 3 center and "
+                                 "3 radius trees"),
+    "radius tree missing": ("rf", lambda doc: doc["radius_trees"].pop(),
+                            "'params' 'n_trees' is 3, but the ensembles hold 3 center and 2 "
+                            "radius trees"),
+    "no oob": ("rf", lambda doc: doc.pop("oob"), "no key 'oob'"),
+    "quoted oob": ("rf", _set_in("oob", "x"),
+                   "'oob' must be an object holding objects 'center' and 'radius'"),
+    "oob without radius": ("rf", lambda doc: doc["oob"].pop("radius"),
+                           "'oob' must be an object holding objects 'center' and 'radius'"),
+    "oob center a list": ("rf", _set_in("oob", "center", [1.0, 0.5, 60, 0]),
+                          "'oob' must be an object holding objects 'center' and 'radius'"),
+    "quoted oob mse": ("rf", _set_in("oob", "center", "mse", "0.5"),
+                       "'oob' 'center' 'mse' must be a JSON number"),
+    "boolean oob r2": ("rf", _set_in("oob", "radius", "r2", True),
+                       "'oob' 'radius' 'r2' must be a JSON number"),
+    "fractional rows_used": ("rf", _set_in("oob", "center", "rows_used", 2.5),
+                             "'oob' 'center' 'rows_used' must be a JSON integer"),
+    "no rows_skipped": ("rf", lambda doc: doc["oob"]["radius"].pop("rows_skipped"),
+                        "no key 'rows_skipped'"),
 }
 
 
