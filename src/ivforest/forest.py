@@ -36,10 +36,10 @@ Model files hold trees numbered as ``grow_trees`` numbers them, and no other,
 as compact JSON. Trees are written and read one at a time: the writer encodes
 each tree's object on its own, and the reader turns each tree's lists into
 arrays as the parser closes the tree, so neither holds a file's trees as
-Python lists, and each peaks at about 3x the file. Checks still run over each
-ensemble at once, on every array key's arrays laid end to end, which then
-make the ensemble; a file with several faulty trees names the lowest tree
-that any check rejects.
+Python lists, and each peaks at about 3x the file. The reader checks each
+tree's keys, types and lengths in turn up to the first faulty tree, then the
+trees below it at once, laid end to end as the ensemble they make; a file
+with several faulty trees names the lowest tree that any check rejects.
 """
 
 from __future__ import annotations
@@ -683,41 +683,13 @@ def forest_from_doc(doc: dict) -> ForestFit:
     return ForestFit(feature_names, tuple(doc["predictors"]), params, center, radius, oob)
 
 
-class _Faults:
-    """The lowest faulty tree of ensemble ``key`` found so far, and the first check to reject it.
-
-    Checks run in a fixed order, each over the trees below that one, which passed every
-    earlier check. So the fault left at the end is the one that checking the trees one at a
-    time would find: the lowest tree that any check rejects, and the first check that does.
-    """
-
-    def __init__(self, key: str, n_trees: int):
-        self.key = key
-        self.good = n_trees  # the trees below the lowest faulty one
-        self.problem = None
-
-    def check(self, bad, problem: str) -> None:
-        """Record ``problem`` at the first tree flagged in ``bad``, a flag per tree from the
-        first, if it lies below ``good``. No tree lies below tree 0, so a fault there raises."""
-        at = np.flatnonzero(bad[: self.good])
-        if at.size:
-            self.good, self.problem = int(at[0]), problem
-            if self.good == 0:
-                self.raise_if_found()
-
-    def raise_if_found(self) -> None:
-        if self.problem is not None:
-            raise ConfigError(f"{self.key}[{self.good}]: {self.problem}")
-
-
 def read_tree_arrays(obj: dict) -> dict:
     """A ``json.loads`` object hook: ``obj`` with each ``_TREE_ARRAYS`` key's list made an
     array as the decoder closes the object, so a model file's trees are never held as lists.
 
     A list converts only if it holds JSON integers that fit int64, for an integer key, or
     JSON numbers for the others: numpy would truncate 0.9 and parse ``"7"``, and a bool reads
-    as 0 or 1. Any other value is left as it is, for ``_trees_from`` to name. Arrays are left
-    alone, so a second pass changes nothing.
+    as 0 or 1. Any other value is left as it is, for ``_tree_fault`` to name.
     """
     for k, dtype in _TREE_ARRAYS.items():
         v = obj.get(k)
@@ -729,46 +701,54 @@ def read_tree_arrays(obj: dict) -> dict:
     return obj
 
 
-def _trees_from(doc: dict, key: str, n_features: int) -> Ensemble:
-    """Ensemble ``key``, taken out of ``doc``: its trees' arrays (``read_tree_arrays``) laid end
-    to end and checked for all trees at once, and each tree's own arrays then freed.
-
-    A fault is a ConfigError naming the lowest tree that any check rejects and the first check
-    that rejects it (``_Faults``). The checks, in order: each tree has every key; each key is
-    a list, of JSON integers for an integer key; each list converted: its integers fit int64,
-    and a float key's list holds only JSON numbers; the node arrays are nonempty and of one
-    length; then ``_tree_problems``, over each key's arrays laid end to end.
-    """
-    docs = doc.pop(key)
-    if not docs:
-        raise ConfigError(f"{key!r} holds no tree")
-    docs = [read_tree_arrays(t) if isinstance(t, dict) else t for t in docs]
-    faults = _Faults(key, len(docs))
+def _tree_fault(tree) -> str | None:
+    """One model-file tree's first fault, or None. In order: the tree is an object with every
+    key; each key is a list, of JSON integers for an integer key; each list converted
+    (``read_tree_arrays``); the node arrays are nonempty and of one length."""
+    if not isinstance(tree, dict):
+        return "a tree must be a JSON object"
     for k in _TREE_ARRAYS:
-        faults.check([k not in t for t in docs], f"no key {k!r}")
-    for k, dtype in _TREE_ARRAYS.items():
-        values = [t[k] for t in docs[: faults.good]]
-        if dtype is np.int64:  # a list of JSON integers beyond int64 stays a list
-            faults.check([not (isinstance(v, np.ndarray) or isinstance(v, list)
-                               and set(map(type, v)) <= {int}) for v in values],
-                         f"{k!r} must be a list of JSON integers")
-        else:
-            faults.check([not isinstance(v, (list, np.ndarray)) for v in values],
-                         f"{k!r} must be a list of numbers")
-    for k, dtype in _TREE_ARRAYS.items():
-        faults.check([not isinstance(t[k], np.ndarray) for t in docs[: faults.good]],
-                     f"{k!r} holds an integer beyond int64" if dtype is np.int64
-                     else f"{k!r} must be a list of numbers")
-    docs = docs[: faults.good]
-    sizes = {k: np.fromiter((t[k].size for t in docs), np.int64, len(docs)) for k in _TREE_ARRAYS}
-    n = sizes["feature"]
-    faults.check((n == 0) | np.any([sizes[k] != n for k in _NODE_ARRAYS], axis=0),
-                 "node arrays must be nonempty lists of equal length")
-    docs, n, draws = docs[: faults.good], n[: faults.good], sizes["bootstrap"][: faults.good]
-    arrays = {k: np.concatenate([t[k] for t in docs]) for k in _TREE_ARRAYS}
-    for bad, problem in _tree_problems(arrays, n, draws, n_features):
-        faults.check(bad, problem)
-    faults.raise_if_found()
+        if k not in tree:
+            return f"no key {k!r}"
+    lists = {k: tree[k] for k in _TREE_ARRAYS if not isinstance(tree[k], np.ndarray)}
+    for k, v in lists.items():
+        if _TREE_ARRAYS[k] is float and not isinstance(v, list):
+            return f"{k!r} must be a list of numbers"
+        if _TREE_ARRAYS[k] is np.int64 and not (isinstance(v, list) and set(map(type, v)) <= {int}):
+            return f"{k!r} must be a list of JSON integers"
+    if lists:  # the first list the hook left: integers beyond int64, or a float key's non-numbers
+        k = next(iter(lists))
+        return (f"{k!r} holds an integer beyond int64" if _TREE_ARRAYS[k] is np.int64
+                else f"{k!r} must be a list of numbers")
+    n = tree["feature"].size
+    if n == 0 or any(tree[k].size != n for k in _NODE_ARRAYS):
+        return "node arrays must be nonempty lists of equal length"
+    return None
+
+
+def _trees_from(doc: dict, key: str, n_features: int) -> Ensemble:
+    """Ensemble ``key``, taken out of ``doc``: its trees checked one at a time (``_tree_fault``)
+    up to the first faulty one, and those below it laid end to end and checked at once
+    (``_tree_problems``). A fault is a ConfigError naming the lowest tree that any check
+    rejects, and the first check that rejects it."""
+    trees = doc.pop(key)
+    if not isinstance(trees, list):
+        raise ConfigError(f"{key!r} must be a list of trees")
+    if not trees:
+        raise ConfigError(f"{key!r} holds no tree")
+    faults = enumerate(map(_tree_fault, trees))  # lazily, so checking stops at the first fault
+    good, fault = next(((t, f) for t, f in faults if f), (len(trees), None))
+    if good:  # the trees below the lowest faulty one, which _tree_problems may lower
+        trees = trees[:good]
+        n = np.fromiter((t["feature"].size for t in trees), np.int64, good)
+        draws = np.fromiter((t["bootstrap"].size for t in trees), np.int64, good)
+        arrays = {k: np.concatenate([t[k] for t in trees]) for k in _TREE_ARRAYS}
+        del trees  # frees each tree's own arrays before the checks make their temporaries
+        for bad, problem in _tree_problems(arrays, n, draws, n_features):
+            if (at := np.flatnonzero(bad[:good])).size:
+                good, fault = int(at[0]), problem
+    if fault:
+        raise ConfigError(f"{key}[{good}]: {fault}")
     return Ensemble(arrays["feature"], arrays["threshold"], arrays["value"], n, arrays["bootstrap"],
                     draws)
 

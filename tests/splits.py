@@ -28,13 +28,14 @@ def root_split(y, X, min_child=1):
 
 
 def leaf_of(tree, X):
-    """Leaf node of every row of X in one tree, stepping all rows together."""
+    """Leaf node of every row of X in one tree, stepping all rows together. A row goes right
+    only when its value exceeds the threshold, so nan goes left, as in the forest."""
     node = np.zeros(X.shape[0], dtype=np.int64)
     rows = np.arange(X.shape[0])
     while np.any(tree.feature[node] >= 0):
         f = tree.feature[node]
-        below = X[rows, np.maximum(f, 0)] <= tree.threshold[node]
-        child = np.where(below, tree.left[node], tree.right[node])
+        above = X[rows, np.maximum(f, 0)] > tree.threshold[node]
+        child = np.where(above, tree.right[node], tree.left[node])
         node = np.where(f >= 0, child, node)
     return node
 

@@ -326,6 +326,9 @@ FAULTS = {
         lambda t: edited_model(t, "rf", quoted_threshold_boolean_value), {}, 2,
         "center_trees[0]: 'threshold' must be a list of numbers"),
     "model file nested 200 000 deep": (model_text("[" * 200_000), {}, 2, "m.json"),
+    "rf file with a null tree": (
+        lambda t: edited_model(t, "rf", set_item("radius_trees", 1, None)), {}, 2,
+        "radius_trees[1]: a tree must be a JSON object"),
     "rf file with a child index of 1e30": (
         lambda t: edited_model(t, "rf", set_item("center_trees", 0, "left", 0, 1e30)), {}, 2,
         "rf.json"),

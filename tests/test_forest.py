@@ -853,7 +853,7 @@ class TestLeafBitvectors:
             total, counts = assert_paths_agree(ens, X)
             expected = np.zeros(600)
             for tree in ens.trees:
-                expected += route(tree, np.nan_to_num(X, nan=-np.inf))
+                expected += route(tree, X)
             assert total.tobytes() == expected.tobytes()
             assert counts.tolist() == [ens.n_trees] * 600
 
@@ -872,8 +872,8 @@ def loop_sums(trees, X, out_of_bag=False):
 
 def assert_sums_match_loop(ens, X, out_of_bag=False):
     """``_tree_sums``, forced bitvectors for the word trees and the walk each give
-    ``loop_sums``' bytes. A nan in ``X`` goes left at a split node, as -inf does."""
-    want = loop_sums(ens.trees, np.where(np.isnan(X), -np.inf, X), out_of_bag)
+    ``loop_sums``' bytes. A nan in ``X`` goes left at a split node on every path."""
+    want = loop_sums(ens.trees, X, out_of_bag)
     assert_same_bytes(_tree_sums(ens, X, out_of_bag), want)
     assert_same_bytes(_sums(ens, X, ens.word, out_of_bag), want)
     assert_same_bytes(walk_sums(ens, X, out_of_bag), want)

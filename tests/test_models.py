@@ -261,6 +261,22 @@ BODY_FAULTS = {
                              "'oob' 'center' 'rows_used' must be a JSON integer"),
     "no rows_skipped": ("rf", lambda doc: doc["oob"]["radius"].pop("rows_skipped"),
                         "no key 'rows_skipped'"),
+    "numeric ensemble": ("rf", _set_in("center_trees", 5),
+                         "'center_trees' must be a list of trees"),
+    "null ensemble": ("rf", _set_in("radius_trees", None),
+                      "'radius_trees' must be a list of trees"),
+    "ensemble an object": ("rf", _set_in("center_trees", {"a": 1}),
+                           "'center_trees' must be a list of trees"),
+    "ensemble a string": ("rf", _set_in("center_trees", "[]"),
+                          "'center_trees' must be a list of trees"),
+    "null tree": ("rf", _set_in("center_trees", 1, None),
+                  "center_trees[1]: a tree must be a JSON object"),
+    "numeric tree": ("rf", _set_in("radius_trees", 0, 5),
+                     "radius_trees[0]: a tree must be a JSON object"),
+    "tree a string": ("rf", _set_in("center_trees", 2, "tree"),
+                      "center_trees[2]: a tree must be a JSON object"),
+    "tree a list": ("rf", _set_in("center_trees", 1, [{"feature": [-1]}]),
+                    "center_trees[1]: a tree must be a JSON object"),
 }
 
 
@@ -297,7 +313,8 @@ def _drop(key):
 
 
 # two faults each, in trees (i, j) of the center ensemble: the tree named is the lower one,
-# whichever check rejects each of them
+# whichever check rejects each of them. An edit that is not a function is the JSON value put
+# in the tree's place.
 TWO_FAULTS = {
     "lower fault found by a later check": ((120, _set("threshold", 0, float("inf"))),
                                            (300, _drop("left")), "'threshold' must be finite"),
@@ -306,6 +323,11 @@ TWO_FAULTS = {
                                               "'feature' holds an integer beyond int64"),
     "both found by one check": ((64, _set("feature", 0, 9)), (65, _set("feature", 0, 9)),
                                 "'feature' must be below 2"),
+    "lower fault found by the last per-tree check": (
+        (40, lambda tree: tree["value"].pop()), (41, _drop("feature")),
+        "node arrays must be nonempty lists of equal length"),
+    "lower tree not an object": ((10, None), (11, _set("threshold", 0, float("inf"))),
+                                 "a tree must be a JSON object"),
 }
 
 
@@ -321,9 +343,13 @@ def test_forest_of_paper_size_round_trips_and_names_the_lowest_faulty_tree():
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), key
     for (low, edit_low), (high, edit_high), named in TWO_FAULTS.values():
         doc = json.loads(text)
-        assert doc["center_trees"][low]["feature"][0] >= 0
-        edit_low(doc["center_trees"][low])
-        edit_high(doc["center_trees"][high])
+        trees = doc["center_trees"]
+        assert trees[low]["feature"][0] >= 0
+        for i, edit in ((low, edit_low), (high, edit_high)):
+            if callable(edit):
+                edit(trees[i])
+            else:
+                trees[i] = edit
         with pytest.raises(ConfigError, match=rf"^rf.json: .*center_trees\[{low}\]: ") as info:
             model_from_json(json.dumps(doc), "rf.json")
         assert named in str(info.value)
